@@ -197,7 +197,6 @@ pub(crate) fn score_hardness(q: &VisQuery) -> Hardness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::*;
     use crate::tokens::parse_vql_str;
 
     fn h(vql: &str) -> Hardness {

@@ -1,5 +1,6 @@
 //! Regenerate every paper table and figure at Full scale and print the
-//! combined report (tee it into EXPERIMENTS-style records):
+//! combined report (tee it into EXPERIMENTS-style records). Each section is
+//! followed by its wall time as `[<section>] <secs>s`:
 //!
 //! ```text
 //! cargo run -p nv-bench --release --bin reproduce                  # everything
@@ -106,23 +107,18 @@ fn main() {
         }
     }
 
-    let section = |name: &str, body: String| {
-        println!("----------------------------------------------------------------");
-        println!("{body}");
-        let _ = name;
-    };
-
-    section("table2", exp_table2(ctx));
-    section("table3", exp_table3(ctx));
-    section("fig7", exp_fig7());
-    section("fig8", exp_fig8(ctx));
-    section("fig9", exp_fig9(ctx));
-    section("fig10", exp_fig10(ctx));
-    section("fig12", exp_fig12(ctx));
-    section("fig13", exp_fig13(ctx));
-    section("fig14", exp_fig14(ctx));
-    section("fig16", exp_fig16(ctx));
-    section("values", exp_values(ctx));
+    section("table2", || exp_table2(ctx));
+    section("table3", || exp_table3(ctx));
+    section("fig7", exp_fig7);
+    section("fig8", || exp_fig8(ctx));
+    section("fig9", || exp_fig9(ctx));
+    section("fig10", || exp_fig10(ctx));
+    section("fig12", || exp_fig12(ctx));
+    section("fig13", || exp_fig13(ctx));
+    section("fig14", || exp_fig14(ctx));
+    section("fig16", || exp_fig16(ctx));
+    section("values", || exp_values(ctx));
+    section("ablation", || exp_ablation(ctx));
 
     if data_only {
         println!("(skipping model training: 'data' flag)");
@@ -135,11 +131,21 @@ fn main() {
     let reports = train_and_evaluate(ctx, scale);
     println!("[training] done in {:.1}s\n", t1.elapsed().as_secs_f64());
 
-    section("fig17", exp_fig17(&reports));
-    section("table4", exp_table4(&reports));
-    section("table5", exp_table5(ctx, scale, &reports[1]));
-    section("fig19", exp_fig19(&reports[1].0, ctx));
-    section("fig18", exp_fig18(ctx, scale));
+    section("fig17", || exp_fig17(&reports));
+    section("table4", || exp_table4(&reports));
+    section("table5", || exp_table5(ctx, scale, &reports[1]));
+    section("fig19", || exp_fig19(&reports[1].0, ctx));
+    section("fig18", || exp_fig18(ctx, scale));
 
     println!("=== total {:.1}s ===", t0.elapsed().as_secs_f64());
+}
+
+/// Print one report section, then the wall time its body took as
+/// `[<name>] <secs>s`.
+fn section(name: &str, body: impl FnOnce() -> String) {
+    let t = Instant::now();
+    let text = body();
+    println!("----------------------------------------------------------------");
+    println!("{text}");
+    println!("[{name}] {:.3}s", t.elapsed().as_secs_f64());
 }

@@ -7,8 +7,8 @@ use nvbench::seq2vis::{Dataset, Seq2Vis, Seq2VisConfig};
 use nvbench::spider::{CorpusConfig, SpiderCorpus};
 use std::sync::OnceLock;
 
-/// Experiment scale. `Quick` keeps criterion benches snappy; `Full` is what
-/// the `reproduce` binary uses to regenerate EXPERIMENTS.md.
+/// Experiment scale. `Quick` keeps tests and `reproduce quick` snappy;
+/// `Full` is what the `reproduce` binary uses to regenerate EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     Quick,

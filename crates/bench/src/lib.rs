@@ -1,9 +1,10 @@
 //! # nv-bench — the experiment harness
 //!
 //! One experiment per paper table/figure (see DESIGN.md's per-experiment
-//! index). Criterion benches under `benches/` time the Quick-scale
-//! computation and print the regenerated rows; the `reproduce` binary runs
-//! everything at Full scale and writes the EXPERIMENTS-style report.
+//! index). The `reproduce` binary runs every experiment as one timed
+//! section of an EXPERIMENTS-style report, at Full scale by default or
+//! Quick scale with `quick`. Throughput is measured separately by the
+//! `nvperf` benchmark.
 
 pub mod context;
 pub mod experiments;

@@ -29,8 +29,8 @@
 //!
 //! Cached data is shared via `Arc` and never mutated, so
 //! [`execute_with_cache`] is bit-identical to [`execute`] — the cache is a
-//! pure performance layer. A cache is bound to the first database it sees
-//! and refuses reuse against another.
+//! pure performance layer. A cache is bound to the first database it sees;
+//! using it with another returns [`ExecError::Internal`].
 
 use crate::schema::ColumnType;
 use crate::table::Database;
@@ -310,15 +310,17 @@ impl ExecCache {
         self.results.clear();
     }
 
-    fn bind(&mut self, db: &Database) {
-        match &self.db_name {
-            None => self.db_name = Some(db.name.clone()),
-            Some(bound) => assert_eq!(
-                bound, &db.name,
+    /// Bind the cache to `db` on first use; refuse any other database after
+    /// that, since its memoized scans would be served as the wrong data.
+    fn bind(&mut self, db: &Database) -> Result<(), ExecError> {
+        let bound = self.db_name.get_or_insert_with(|| db.name.clone());
+        if *bound != db.name {
+            return Err(ExecError::Internal(format!(
                 "ExecCache is bound to database '{bound}' but was used with '{}'",
                 db.name
-            ),
+            )));
         }
+        Ok(())
     }
 }
 
@@ -408,7 +410,7 @@ pub fn execute_with_cache_metered(
     budget: ExecBudget,
 ) -> Result<(ResultSet, ExecSpend), ExecError> {
     fault_check(q)?;
-    cache.bind(db);
+    cache.bind(db)?;
     let stats_before = cache.stats;
     let mut e = Exec { cache: Some(cache), meter: Meter::new(budget) };
     let rs = e.set(db, &q.query)?;
@@ -1766,7 +1768,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bound to database")]
     fn cache_refuses_foreign_database() {
         let a = db();
         let mut b = Database::new("other", "Other");
@@ -1779,7 +1780,12 @@ mod tests {
         let mut cache = ExecCache::new();
         execute_with_cache(&a, &q, &mut cache).unwrap();
         let q2 = parse_vql_str("select t.x from t").unwrap();
-        let _ = execute_with_cache(&b, &q2, &mut cache);
+        match execute_with_cache(&b, &q2, &mut cache) {
+            Err(ExecError::Internal(m)) => assert!(m.contains("bound to database"), "{m}"),
+            other => panic!("expected Internal error, got {other:?}"),
+        }
+        // The refusal leaves the cache bound to, and usable with, its database.
+        assert!(execute_with_cache(&a, &q, &mut cache).is_ok());
     }
 
     // ---- resource budgets ------------------------------------------------

@@ -1210,7 +1210,7 @@ mod tests {
 
     #[test]
     fn copy_scatter_matches_dense_one_hot_matmul() {
-        let mut store = ParamStore::new();
+        let store = ParamStore::new();
         let attn_v = Matrix::col(vec![0.5, 0.2, 0.2, 0.1]);
         let rows = [2usize, 0, 2, 1];
         let mut tape = Tape::new();

@@ -1,13 +1,12 @@
 //! The differential runner: generated (database, query) cases executed by
 //! the reference interpreter and by every production entry point —
-//! `execute`, `execute_with_cache` (cold and warm), `execute_budgeted` —
-//! compared under order-insensitive multiset equality, with failures shrunk
+//! `execute` and `execute_with_cache` (cold and warm) — compared under order-insensitive multiset equality, with failures shrunk
 //! to minimal counterexamples.
 
 use crate::gen;
 use crate::interp::oracle_execute;
 use nv_ast::{Operand, Predicate, SetQuery, VisQuery};
-use nv_data::{Database, ExecBudget, ExecCache, ExecError, ResultSet};
+use nv_data::{Database, ExecCache, ExecError, ResultSet};
 
 /// Configuration for one differential batch.
 #[derive(Debug, Clone)]
@@ -15,7 +14,7 @@ pub struct DiffConfig {
     /// Batch seed; `case i` is `gen::gen_case(seed, i)`.
     pub seed: u64,
     /// Number of generated databases (each runs [`QUERIES_PER_CASE`] queries
-    /// through four engine paths).
+    /// through three engine paths).
     pub cases: usize,
     /// Shrink the first divergence to a minimal counterexample before
     /// reporting (costs extra executions on failure only).
@@ -49,8 +48,7 @@ pub struct Divergence {
     pub seed: u64,
     pub case: usize,
     pub query_index: usize,
-    /// Which engine path disagreed (`execute`, `cache-cold`, `cache-warm`,
-    /// `budgeted`).
+    /// Which engine path disagreed (`execute`, `cache-cold`, `cache-warm`).
     pub engine: &'static str,
     /// Minimal (or original, if shrinking is off) counterexample.
     pub db: Database,
@@ -144,10 +142,11 @@ fn classify(oracle: &Result<ResultSet, ExecError>, engine: &Result<ResultSet, Ex
     }
 }
 
-/// The four production paths under test. `cache-warm` re-executes against a
-/// cache already populated by the cold run, so memoized scans/groups/results
-/// are actually exercised.
-const ENGINES: [&str; 4] = ["execute", "cache-cold", "cache-warm", "budgeted"];
+/// The three production paths under test. `execute` runs under the default
+/// [`nv_data::ExecBudget`], so it also covers the budgeted entry point.
+/// `cache-warm` re-executes against a cache already populated by the cold
+/// run, so memoized scans/groups/results are actually exercised.
+const ENGINES: [&str; 3] = ["execute", "cache-cold", "cache-warm"];
 
 fn run_engine(
     engine: &'static str,
@@ -157,8 +156,7 @@ fn run_engine(
 ) -> Result<ResultSet, ExecError> {
     match engine {
         "execute" => nv_data::execute(db, q),
-        "cache-cold" | "cache-warm" => nv_data::execute_with_cache(db, q, cache),
-        _ => nv_data::execute_budgeted(db, q, ExecBudget::default()),
+        _ => nv_data::execute_with_cache(db, q, cache),
     }
 }
 
@@ -234,7 +232,7 @@ fn still_diverges(db: &Database, q: &VisQuery) -> bool {
 /// Greedy fixpoint shrink: repeatedly try structural simplifications of the
 /// query, then of the database, keeping any candidate that still diverges.
 /// Bounded, deterministic, and engine-agnostic (a candidate is kept if any
-/// of the four paths still disagrees with the oracle, so shrinking can't
+/// of the three paths still disagrees with the oracle, so shrinking can't
 /// drift to a different engine's bug unnoticed — the final report re-runs
 /// the original engine).
 pub fn shrink(mut db: Database, mut q: VisQuery) -> (Database, VisQuery) {

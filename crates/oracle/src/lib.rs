@@ -12,8 +12,7 @@
 //!   (FKs, NULLs, duplicate keys, empty tables) and random well-typed
 //!   queries biased toward the Spider-subset shapes the synthesizer emits.
 //! * [`diff`] — the differential runner: every generated case through
-//!   `execute`, `execute_with_cache` (cold + warm), and `execute_budgeted`,
-//!   compared against the oracle under order-insensitive multiset equality,
+//!   `execute` and `execute_with_cache` (cold + warm), compared against the oracle under order-insensitive multiset equality,
 //!   with failing cases shrunk to minimal counterexamples.
 //! * [`laws`] — metamorphic laws that need no oracle at all: predicate
 //!   conjunction commutes, `top k` is a prefix of `top k+1`, `A EXCEPT A`

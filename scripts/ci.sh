@@ -11,9 +11,9 @@
 #   scripts/ci.sh gradcheck        # nv-nn gradient checks + cross-thread
 #                                  # training determinism
 #
-# The differential stage runs every generated query through all four
-# executor entry points (plain, cache-cold, cache-warm, budgeted) against
-# the reference interpreter and fails on the first divergence; a failure
+# The differential stage runs every generated query through all three
+# executor entry points (plain, cache-cold, cache-warm) against the
+# reference interpreter and fails on the first divergence; a failure
 # prints a shrunk counterexample with a `gen_case(seed, case)` repro line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +21,7 @@ cd "$(dirname "$0")/.."
 stage="${1:-all}"
 
 run_differential() {
-  echo "=== differential oracle (5,000 seeded cases × 4 engines) ==="
+  echo "=== differential oracle (5,000 seeded cases × 3 engines) ==="
   DIFF_CASES=5000 cargo test --release -q --test differential_oracle
 }
 
@@ -75,16 +75,14 @@ esac
 echo "=== [1/8] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/8] cargo test -q ==="
+echo "=== [2/8] cargo test -q (every workspace crate) ==="
 cargo test -q
 
 echo "=== [3/8] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [4/8] warnings-clean (fault-isolation + trace + oracle + nn crates) ==="
-RUSTFLAGS="-D warnings" cargo check -q \
-  -p nv-fault -p nv-trace -p nv-data -p nv-sql -p nv-render -p nv-synth \
-  -p nv-core -p nv-oracle -p nv-nn -p nv-seq2vis
+echo "=== [4/8] warnings-clean (whole workspace, all targets) ==="
+RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
 echo "=== [5/8] differential oracle ==="
 run_differential

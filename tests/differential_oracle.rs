@@ -23,9 +23,9 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// ≥ 5,000 seeded cases in CI (DIFF_CASES=5000); 1,250 under plain
-/// `cargo test`. Every case runs each query through four engine paths
-/// (plain, cache-cold, cache-warm, budgeted), so even the default compares
-/// 15,000 executions against the oracle.
+/// `cargo test`. Every case runs each query through three engine paths
+/// (plain, cache-cold, cache-warm), so even the default compares 11,250
+/// executions against the oracle.
 #[test]
 fn differential_oracle_is_clean() {
     let seed = env_u64("DIFF_SEED", 0x5EED);
