@@ -14,6 +14,9 @@
 //!
 //! `threads=N` runs corpus synthesis on N worker threads (default: all
 //! available cores). The synthesized benchmark is bit-identical for any N.
+//! It governs synthesis only: model training, validation loss and the
+//! Table 5 / Figure 17–19 scoring always use every available core, and
+//! their output does not depend on the core count either.
 //!
 //! `max_rows=N` / `fuel=N` tighten the executor's resource budget (rows a
 //! single operator may materialize / total row-visits per query); pairs
@@ -40,9 +43,7 @@ fn main() {
     let threads = args
         .iter()
         .find_map(|a| a.strip_prefix("threads=").and_then(|n| n.parse().ok()))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
+        .unwrap_or_else(nvbench::core::par::available_threads);
     let arg_num = |key: &str| {
         args.iter().find_map(|a| a.strip_prefix(key).and_then(|n| n.parse::<u64>().ok()))
     };

@@ -50,6 +50,11 @@ pub mod fault {
     pub use nv_fault::*;
 }
 
+/// The `nv-trace` observability layer, re-exported so crates above the
+/// core (the evaluation metrics) record spans into the same process-global
+/// report without a dependency of their own.
+pub use nv_trace as trace;
+
 pub use benchmark::{NlVisPair, NvBench, Split, VisObject};
 pub use error::{NvError, NvErrorKind};
 pub use io::{from_json, to_json, IoError};

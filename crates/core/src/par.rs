@@ -85,6 +85,13 @@ fn trace_panic_outcome(rebuilt: bool) {
     }
 }
 
+/// Every core this process may run on (1 when the count is unavailable) —
+/// the worker count callers use when they have no thread setting of their
+/// own, or when the setting is 0.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Apply `work` to every item of `items` using up to `threads` workers,
 /// returning results in input order.
 ///

@@ -7,7 +7,10 @@ use nv_data::Database;
 
 /// Anything that turns an NL query (plus the database schema/content) into a
 /// VIS tree.
-pub trait Nl2VisPredictor {
+///
+/// Predictors are `Sync` because the evaluation harness scores test pairs
+/// on every core, calling one shared predictor from several threads.
+pub trait Nl2VisPredictor: Sync {
     /// Human-readable system name ("seq2vis+attention", "DeepEye", "NL4DV").
     fn name(&self) -> String;
 

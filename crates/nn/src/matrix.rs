@@ -16,8 +16,10 @@
 //!
 //! ## Kernel shapes that matter
 //!
-//! Training is matvec-dominated (column-vector activations), so `matmul`
-//! keeps its contiguous dot fast path; the general kernels pack the
+//! Training and decoding are matvec-dominated (column-vector activations),
+//! so `matmul` and `matvec_acc` share a contiguous matvec path that reduces
+//! four weight rows at a time ([`dot4`]: four independent accumulator
+//! chains, each in [`dot`]'s exact order); the general kernels pack the
 //! transposed operand once per call (thread-local scratch, no per-call
 //! allocation) and walk register tiles over contiguous panel rows — the
 //! layout the compiler can autovectorize. `*_into` variants write into a
@@ -47,6 +49,60 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         s += a[i] * b[i];
     }
     s
+}
+
+/// Four [`dot`]s at once: row `r` of the four contiguous length-`k` rows in
+/// `rows` (`k = x.len()`) against the shared column `x`. Each row keeps
+/// [`dot`]'s exact lane assignment and summation order, so `dot4(rows, x)[r]`
+/// is bit-identical to `dot(row_r, x)`; what changes is that the four rows'
+/// accumulator chains are independent, so the adds of one row no longer
+/// wait on the adds before them, and `x` is loaded once for four rows.
+#[inline]
+fn dot4(rows: &[f32], x: &[f32]) -> [f32; 4] {
+    let k = x.len();
+    let (r0, rest) = rows.split_at(k);
+    let (r1, rest) = rest.split_at(k);
+    let (r2, r3) = rest.split_at(k);
+    let rows = [r0, r1, r2, &r3[..k]];
+    let mut acc = [[0.0f32; 4]; 4];
+    let chunks = k / 4;
+    for c in 0..chunks {
+        let i = c * 4;
+        let xv = &x[i..i + 4];
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            let rv = &row[i..i + 4];
+            acc[0] += rv[0] * xv[0];
+            acc[1] += rv[1] * xv[1];
+            acc[2] += rv[2] * xv[2];
+            acc[3] += rv[3] * xv[3];
+        }
+    }
+    let mut s = acc.map(|a| a[0] + a[1] + a[2] + a[3]);
+    for i in chunks * 4..k {
+        for (s, row) in s.iter_mut().zip(rows) {
+            *s += row[i] * x[i];
+        }
+    }
+    s
+}
+
+/// The matvec sweep shared by [`Matrix::matmul_into`] and
+/// [`Matrix::matvec_acc`]: `emit(&mut out[i], dot(w_row_i, x))` for every
+/// row of the row-major `w` (row length `x.len()`). Full blocks of four
+/// rows go through [`dot4`]; the `rows % 4` remainder rows call [`dot`].
+#[inline]
+fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f32)) {
+    let k = x.len();
+    let full = out.len() / 4 * 4;
+    for (i, o) in out[..full].chunks_exact_mut(4).enumerate() {
+        let d = dot4(&w[4 * i * k..4 * (i + 1) * k], x);
+        for (o, d) in o.iter_mut().zip(d) {
+            emit(o, d);
+        }
+    }
+    for (i, o) in out.iter_mut().enumerate().skip(full) {
+        emit(o, dot(&w[i * k..(i + 1) * k], x));
+    }
 }
 
 /// [`dot`] against a strided left operand: element `j` of the virtual
@@ -147,8 +203,8 @@ impl Matrix {
     }
 
     /// `self × other` into a pre-shaped output (fully overwritten). The
-    /// matrix-×-column-vector case (the seq2seq hot path) takes a
-    /// contiguous dot fast path; the general case packs `otherᵀ` and
+    /// matrix-×-column-vector case (the seq2seq hot path) takes the
+    /// four-row [`dot4`] matvec path; the general case packs `otherᵀ` and
     /// sweeps register tiles over contiguous panel rows.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
@@ -160,9 +216,7 @@ impl Matrix {
         trace_flops(self.rows, self.cols, other.cols);
         let k = self.cols;
         if other.cols == 1 {
-            for i in 0..self.rows {
-                out.data[i] = dot(&self.data[i * k..(i + 1) * k], &other.data);
-            }
+            matvec_rows(&self.data, &other.data, &mut out.data[..self.rows], |o, d| *o = d);
             return;
         }
         let n = other.cols;
@@ -240,17 +294,15 @@ impl Matrix {
 
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
     /// fused affine ops. Each row's product is a full fixed-order [`dot`]
-    /// added to the existing value, mirroring what a `Matmul` node followed
-    /// by an `Add` node computes element-by-element.
+    /// (four rows at a time through [`dot4`]) added to the existing value,
+    /// mirroring what a `Matmul` node followed by an `Add` node computes
+    /// element-by-element.
     pub fn matvec_acc(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, x.rows, "matvec_acc shape");
         assert_eq!(x.cols, 1);
         debug_assert!(out.rows == self.rows && out.cols == 1);
         trace_flops(self.rows, self.cols, 1);
-        let k = self.cols;
-        for i in 0..self.rows {
-            out.data[i] += dot(&self.data[i * k..(i + 1) * k], &x.data);
-        }
+        matvec_rows(&self.data, &x.data, &mut out.data[..self.rows], |o, d| *o += d);
     }
 
     pub fn add_assign(&mut self, other: &Matrix) {
@@ -400,6 +452,34 @@ mod tests {
         Matrix::xavier(rows.max(1), cols.max(1), rng)
     }
 
+    /// Matvec `(rows, k)` shapes for the four-row micro-kernel: full
+    /// blocks, 1–3 remainder rows and every `k % 4` tail, then the model's
+    /// own weight shapes at `Seq2VisConfig::tiny` (e 24, h 32) and
+    /// `Seq2VisConfig::new` (e 48, h 64) sizes — 4h×e and 4h×h LSTM gates,
+    /// h×2h bridges, 2h×h attention, vocab×h and vocab×3h output
+    /// projections, and the 1×(3h+e) copy gate — with an odd vocab.
+    fn matvec_shapes() -> Vec<(usize, usize)> {
+        let mut shapes = vec![];
+        for rows in [4, 5, 6, 7, 8, 13] {
+            for k in [1, 3, 4, 5, 24, 97] {
+                shapes.push((rows, k));
+            }
+        }
+        const VOCAB: usize = 1_031;
+        for (e, h) in [(24, 32), (48, 64)] {
+            shapes.extend([
+                (4 * h, e),
+                (4 * h, h),
+                (h, 2 * h),
+                (2 * h, h),
+                (VOCAB, h),
+                (VOCAB, 3 * h),
+                (1, 3 * h + e),
+            ]);
+        }
+        shapes
+    }
+
     #[test]
     fn matmul_known() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
@@ -424,7 +504,8 @@ mod tests {
             (64, 48, 24),
             (5, 1, 9),
         ];
-        for &(m, k, n) in &shapes {
+        let matvecs = matvec_shapes().into_iter().map(|(m, k)| (m, k, 1));
+        for (m, k, n) in shapes.into_iter().chain(matvecs) {
             let a = rand_mat(m, k, &mut rng);
             let b = rand_mat(k, n, &mut rng);
             let fast = a.matmul(&b);
@@ -446,20 +527,22 @@ mod tests {
     #[test]
     fn matvec_acc_accumulates_like_matmul_plus_add() {
         let mut rng = StdRng::seed_from_u64(12);
-        let w = rand_mat(13, 7, &mut rng);
-        let x = Matrix::col((0..7).map(|i| i as f32 * 0.3 - 1.0).collect());
-        let base = Matrix::col((0..13).map(|i| i as f32 * 0.1).collect());
-        // Fused: out = base; out += w·x.
-        let mut fused = base.clone();
-        w.matvec_acc(&x, &mut fused);
-        // Unfused: w·x then elementwise add — must be bit-identical.
-        let mut unfused = w.matmul(&x);
-        unfused.add_assign(&base);
-        assert_eq!(fused.data, unfused.data);
-        // And the reference twin agrees too.
-        let mut reference = base.clone();
-        reference::matvec_acc(&w, &x, &mut reference);
-        assert_eq!(fused.data, reference.data);
+        for (rows, k) in [(13, 7)].into_iter().chain(matvec_shapes()) {
+            let w = rand_mat(rows, k, &mut rng);
+            let x = Matrix::col((0..k).map(|i| i as f32 * 0.3 - 1.0).collect());
+            let base = Matrix::col((0..rows).map(|i| i as f32 * 0.1).collect());
+            // Fused: out = base; out += w·x.
+            let mut fused = base.clone();
+            w.matvec_acc(&x, &mut fused);
+            // Unfused: w·x then elementwise add — must be bit-identical.
+            let mut unfused = w.matmul(&x);
+            unfused.add_assign(&base);
+            assert_eq!(fused.data, unfused.data, "{rows}x{k}");
+            // And the reference twin agrees too.
+            let mut reference = base.clone();
+            reference::matvec_acc(&w, &x, &mut reference);
+            assert_eq!(fused.data, reference.data, "{rows}x{k}");
+        }
     }
 
     #[test]

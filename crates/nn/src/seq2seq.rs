@@ -239,6 +239,15 @@ impl Seq2Seq {
         h
     }
 
+    /// Worker threads for the per-sample fan-outs: `cfg.threads`, with 0
+    /// meaning every available core.
+    fn threads(&self) -> usize {
+        match self.cfg.threads {
+            0 => nv_core::par::available_threads(),
+            n => n,
+        }
+    }
+
     /// A tape matching this model's kernel policy.
     fn fresh_tape(&self) -> Tape {
         Tape::with_policy(self.cfg.kernel)
@@ -424,11 +433,7 @@ impl Seq2Seq {
         let mut total = 0.0f64;
         let mut count = 0usize;
         let batch = self.cfg.batch.max(1);
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.cfg.threads
-        };
+        let threads = self.threads();
         let kernel = self.cfg.kernel;
         for chunk in samples.chunks(batch) {
             let _step = nv_trace::span("nn.step");
@@ -469,19 +474,24 @@ impl Seq2Seq {
         (total / count.max(1) as f64) as f32
     }
 
-    /// Mean loss over a validation set.
+    /// Mean loss over a validation set. Samples fan out over the
+    /// `nv-core::par` work queue (one pooled tape per worker) and their
+    /// losses are summed in input order, so the value is bit-identical for
+    /// any thread count.
     pub fn evaluate(&self, samples: &[Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
-        let mut tape = self.fresh_tape();
-        let sum: f32 = samples
-            .iter()
-            .map(|s| {
-                let loss = self.forward_loss(&mut tape, s);
+        let losses = nv_core::par::map_ordered(
+            samples,
+            self.threads(),
+            || self.fresh_tape(),
+            |tape, _i, s| {
+                let loss = self.forward_loss(tape, s);
                 tape.value(&self.store, loss).data[0]
-            })
-            .sum();
+            },
+        );
+        let sum: f32 = losses.into_iter().sum();
         sum / samples.len() as f32
     }
 
@@ -490,6 +500,7 @@ impl Seq2Seq {
     /// to greedy. (An extension beyond the paper's greedy decoder, used to
     /// give seq2vis a top-k interface comparable to DeepEye's.)
     pub fn decode_beam(&self, src: &[usize], width: usize) -> Vec<(Vec<usize>, f32)> {
+        let _span = nv_trace::span("nn.decode");
         let width = width.max(1);
         let store = &self.store;
         let mut tape = self.fresh_tape();
@@ -561,6 +572,7 @@ impl Seq2Seq {
 
     /// Greedy decoding.
     pub fn decode(&self, src: &[usize]) -> Vec<usize> {
+        let _span = nv_trace::span("nn.decode");
         let store = &self.store;
         let mut tape = self.fresh_tape();
         let (enc_outputs, mut h, mut c) = self.encode(&mut tape, src);

@@ -9,12 +9,12 @@
 //!   Axis/Select, Where, Join, Grouping, Binning, Order).
 
 use nv_ast::{ChartType, Components, Hardness, Literal, Operand, Predicate, SetQuery, VisQuery};
-use nv_core::{Nl2VisPredictor, NvBench};
+use nv_core::{par, trace, Nl2VisPredictor, NvBench};
 use nv_data::execute;
 use std::collections::BTreeMap;
 
 /// Per-pair evaluation outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalCase {
     pub pair_id: usize,
     pub gold_chart: ChartType,
@@ -90,59 +90,69 @@ fn normalize_tree(q: &VisQuery) -> VisQuery {
     q
 }
 
-/// Evaluate one predictor over a subset of benchmark pairs.
-pub fn evaluate(pred: &dyn Nl2VisPredictor, bench: &NvBench, pair_idx: &[usize]) -> EvalReport {
-    let mut cases = Vec::with_capacity(pair_idx.len());
-    for &pi in pair_idx {
-        let pair = &bench.pairs[pi];
-        let vis = &bench.vis_objects[pair.vis_id];
-        let db = bench.database(&vis.db_name).expect("db exists");
-        let gold = normalize_tree(&vis.tree);
-        let gold_comp = Components::of(&gold);
+/// Score one benchmark pair: predict, then tree-, component- and
+/// result-match against the gold tree.
+fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCase {
+    let pair = &bench.pairs[pi];
+    let vis = &bench.vis_objects[pair.vis_id];
+    let db = bench.database(&vis.db_name).expect("db exists");
+    let gold = normalize_tree(&vis.tree);
+    let gold_comp = Components::of(&gold);
 
-        let predicted = pred.predict(&pair.nl, db).map(|t| normalize_tree(&t));
-        let mut case = EvalCase {
-            pair_id: pair.pair_id,
-            gold_chart: vis.chart,
-            hardness: vis.hardness,
-            predicted: predicted.is_some(),
-            pred_chart: predicted.as_ref().and_then(|t| t.chart),
-            tree_match: false,
-            result_match: false,
-            comp_match: [false; 7],
-            comp_present: gold_comp.present_either(&Components::default()),
+    let predicted = pred.predict(&pair.nl, db).map(|t| normalize_tree(&t));
+    let mut case = EvalCase {
+        pair_id: pair.pair_id,
+        gold_chart: vis.chart,
+        hardness: vis.hardness,
+        predicted: predicted.is_some(),
+        pred_chart: predicted.as_ref().and_then(|t| t.chart),
+        tree_match: false,
+        result_match: false,
+        comp_match: [false; 7],
+        comp_present: gold_comp.present_either(&Components::default()),
+    };
+    if let Some(p) = predicted {
+        case.tree_match = p == gold;
+        let pc = Components::of(&p);
+        case.comp_match = pc.matches(&gold_comp);
+        case.comp_present = pc.present_either(&gold_comp);
+        case.result_match = if case.tree_match {
+            true
+        } else if p.chart == gold.chart {
+            match (execute(db, &p), execute(db, &gold)) {
+                (Ok(a), Ok(b)) => a.data_eq(&b),
+                _ => false,
+            }
+        } else {
+            false
         };
-        if let Some(p) = predicted {
-            case.tree_match = p == gold;
-            let pc = Components::of(&p);
-            case.comp_match = pc.matches(&gold_comp);
-            case.comp_present = pc.present_either(&gold_comp);
-            case.result_match = if case.tree_match {
-                true
-            } else if p.chart == gold.chart {
-                match (execute(db, &p), execute(db, &gold)) {
-                    (Ok(a), Ok(b)) => a.data_eq(&b),
-                    _ => false,
-                }
-            } else {
-                false
-            };
-        }
-        cases.push(case);
     }
+    case
+}
+
+/// Evaluate one predictor over a subset of benchmark pairs. Pairs are
+/// scored on every available core and the cases come back in `pair_idx`
+/// order, so the report does not depend on the thread count.
+pub fn evaluate(pred: &dyn Nl2VisPredictor, bench: &NvBench, pair_idx: &[usize]) -> EvalReport {
+    let _span = trace::span("seq2vis.eval");
+    let cases = par::map_ordered(pair_idx, par::available_threads(), || (), |_, _, &pi| {
+        score_pair(pred, bench, pi)
+    });
     EvalReport { system: pred.name(), cases }
 }
 
 /// Top-k tree-matching accuracy (Table 5's DeepEye top-1/3/6/all columns):
-/// a hit if any of the k predictions tree- or result-matches.
+/// a hit if any of the k predictions tree-matches. Pairs are scored on
+/// every available core; the per-hardness `(hits, total)` tallies are
+/// folded afterwards.
 pub fn evaluate_top_k(
     pred: &dyn Nl2VisPredictor,
     bench: &NvBench,
     pair_idx: &[usize],
     k: usize,
 ) -> BTreeMap<Hardness, (usize, usize)> {
-    let mut by_hard: BTreeMap<Hardness, (usize, usize)> = BTreeMap::new();
-    for &pi in pair_idx {
+    let _span = trace::span("seq2vis.eval");
+    let scored = par::map_ordered(pair_idx, par::available_threads(), || (), |_, _, &pi| {
         let pair = &bench.pairs[pi];
         let vis = &bench.vis_objects[pair.vis_id];
         let db = bench.database(&vis.db_name).expect("db exists");
@@ -151,7 +161,11 @@ pub fn evaluate_top_k(
             .predict_top_k(&pair.nl, db, k)
             .iter()
             .any(|t| normalize_tree(t) == gold);
-        let e = by_hard.entry(vis.hardness).or_insert((0, 0));
+        (vis.hardness, hit)
+    });
+    let mut by_hard: BTreeMap<Hardness, (usize, usize)> = BTreeMap::new();
+    for (hardness, hit) in scored {
+        let e = by_hard.entry(hardness).or_insert((0, 0));
         e.1 += 1;
         if hit {
             e.0 += 1;
@@ -405,6 +419,80 @@ mod tests {
         let (acc, n) = value_fill_accuracy(&b, &idx);
         assert!(n > 10, "need pairs with values, got {n}");
         assert!(acc > 0.6, "value fill accuracy {acc} over {n}");
+    }
+
+    /// Cycles through every scoring branch by pair index: no prediction,
+    /// the gold tree, a chart-flipped tree (result match short-circuits on
+    /// the chart) and a duplicated select column (same chart, so both
+    /// trees execute and their data is compared).
+    struct Mixed<'a>(&'a NvBench);
+
+    impl Nl2VisPredictor for Mixed<'_> {
+        fn name(&self) -> String {
+            "mixed".into()
+        }
+        fn predict(&self, nl: &str, _db: &Database) -> Option<VisQuery> {
+            let i = self.0.pairs.iter().position(|p| p.nl == nl)?;
+            let mut tree = self.0.vis_objects[self.0.pairs[i].vis_id].tree.clone();
+            match i % 4 {
+                0 => return None,
+                1 => {}
+                2 => {
+                    tree.chart = Some(match tree.chart? {
+                        ChartType::Bar => ChartType::Pie,
+                        _ => ChartType::Bar,
+                    })
+                }
+                _ => {
+                    let body = tree.query.primary_mut();
+                    let last = body.select.last()?.clone();
+                    body.select.push(last);
+                }
+            }
+            Some(tree)
+        }
+    }
+
+    /// The parallel scorers return exactly what a sequential per-pair loop
+    /// on the calling thread returns: every case, field by field and in
+    /// input order, and the same per-hardness tallies.
+    #[test]
+    fn parallel_evaluation_equals_sequential_loop() {
+        let b = bench();
+        let idx = unique_nl_idx(&b, 60);
+        for pred in [&Mixed(&b) as &dyn Nl2VisPredictor, &Oracle(&b, true)] {
+            let report = evaluate(pred, &b, &idx);
+            let expected: Vec<EvalCase> = idx.iter().map(|&pi| score_pair(pred, &b, pi)).collect();
+            assert_eq!(report.system, pred.name());
+            assert_eq!(report.cases, expected);
+
+            for k in [1, 3] {
+                let mut tallies: BTreeMap<Hardness, (usize, usize)> = BTreeMap::new();
+                for &pi in &idx {
+                    let pair = &b.pairs[pi];
+                    let vis = &b.vis_objects[pair.vis_id];
+                    let db = b.database(&vis.db_name).unwrap();
+                    let gold = normalize_tree(&vis.tree);
+                    let hit = pred
+                        .predict_top_k(&pair.nl, db, k)
+                        .iter()
+                        .any(|t| normalize_tree(t) == gold);
+                    let e = tallies.entry(vis.hardness).or_insert((0, 0));
+                    e.1 += 1;
+                    e.0 += usize::from(hit);
+                }
+                assert_eq!(evaluate_top_k(pred, &b, &idx, k), tallies, "k={k}");
+            }
+        }
+        // The mixed predictor really reaches every branch.
+        let r = evaluate(&Mixed(&b), &b, &idx);
+        assert!(r.cases.iter().any(|c| !c.predicted));
+        assert!(r.cases.iter().any(|c| c.tree_match));
+        assert!(r.cases.iter().any(|c| c.predicted && c.pred_chart != Some(c.gold_chart)));
+        assert!(r
+            .cases
+            .iter()
+            .any(|c| c.predicted && !c.tree_match && c.pred_chart == Some(c.gold_chart)));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 #
 #   scripts/ci.sh                  # everything (build, tests, faults,
 #                                  # warnings, differential, golden, trace,
-#                                  # gradcheck)
+#                                  # gradcheck, nvperf)
 #   scripts/ci.sh differential     # 5,000-case differential-oracle batch
 #   scripts/ci.sh golden           # verify golden corpus snapshots
 #   scripts/ci.sh golden --bless   # regenerate snapshots, then re-verify
 #   scripts/ci.sh trace            # traced synthesis + report schema gate
 #   scripts/ci.sh gradcheck        # nv-nn gradient checks + cross-thread
 #                                  # training determinism
+#   scripts/ci.sh nvperf           # benchmark-harness tests, including a
+#                                  # tiny checked smoke run of every workload
 #
 # The differential stage runs every generated query through all three
 # executor entry points (plain, cache-cold, cache-warm) against the
@@ -48,6 +50,11 @@ run_gradcheck() {
   cargo test --release -q --test train_determinism
 }
 
+run_nvperf() {
+  echo "=== nvperf: harness tests + checked smoke run of every workload ==="
+  cargo test --release --offline --manifest-path nvperf/Cargo.toml
+}
+
 case "$stage" in
   differential)
     run_differential
@@ -65,35 +72,42 @@ case "$stage" in
     run_gradcheck
     exit 0
     ;;
+  nvperf)
+    run_nvperf
+    exit 0
+    ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|differential|golden [--bless]|trace|gradcheck]" >&2
+    echo "usage: scripts/ci.sh [all|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/8] cargo build --release ==="
+echo "=== [1/9] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/8] cargo test -q (every workspace crate) ==="
+echo "=== [2/9] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/8] fault-injection harness ==="
+echo "=== [3/9] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [4/8] warnings-clean (whole workspace, all targets) ==="
+echo "=== [4/9] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [5/8] differential oracle ==="
+echo "=== [5/9] differential oracle ==="
 run_differential
 
-echo "=== [6/8] golden snapshots ==="
+echo "=== [6/9] golden snapshots ==="
 run_golden
 
-echo "=== [7/8] trace observability gate ==="
+echo "=== [7/9] trace observability gate ==="
 run_trace
 
-echo "=== [8/8] training-kernel gradcheck + determinism gate ==="
+echo "=== [8/9] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
+
+echo "=== [9/9] benchmark harness (nvperf) ==="
+run_nvperf
 
 echo "=== CI green ==="

@@ -7,7 +7,8 @@
 //! reduction with the `KernelPolicy::NaiveOracle` unfused twin. Both
 //! invariants are **bit-level**: this test trains the same model under
 //! threads 1/2/4 and under both kernel policies and demands identical loss
-//! bit patterns every epoch plus identical parameter checksums at the end.
+//! bit patterns every epoch plus identical parameter checksums at the end,
+//! and identical validation-loss bits from the parallel `evaluate`.
 
 use nv_nn::{KernelPolicy, ModelVariant, Sample, Seq2Seq, Seq2SeqConfig};
 use rand::rngs::StdRng;
@@ -107,5 +108,34 @@ fn decode_agrees_across_policies() {
     }
     for sample in &corpus[..8] {
         assert_eq!(fast.decode(&sample.src), naive.decode(&sample.src));
+    }
+}
+
+/// Validation loss fans samples out over the same pool and sums their
+/// losses in input order: after identical training, `evaluate` returns the
+/// same loss bits at threads 1/2/4, under either kernel policy.
+#[test]
+fn validation_loss_is_bit_identical_across_thread_counts() {
+    let corpus = toy_corpus();
+    let (train, val) = corpus.split_at(24);
+    for variant in ModelVariant::ALL {
+        let mut fingerprints = vec![];
+        for (threads, kernel) in [
+            (1, KernelPolicy::Fast),
+            (2, KernelPolicy::Fast),
+            (4, KernelPolicy::Fast),
+            (1, KernelPolicy::NaiveOracle),
+        ] {
+            let mut model = Seq2Seq::new(cfg(variant, threads, kernel));
+            let mut bits = vec![model.evaluate(val).to_bits()];
+            for _ in 0..2 {
+                model.train_epoch(train);
+                bits.push(model.evaluate(val).to_bits());
+            }
+            fingerprints.push(bits);
+        }
+        for (i, got) in fingerprints.iter().enumerate().skip(1) {
+            assert_eq!(&fingerprints[0], got, "{variant:?}: configuration {i} diverged");
+        }
     }
 }
