@@ -249,13 +249,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Max combined nesting depth (parenthesized predicates + subqueries), the
+/// same limit as `nv-sql`'s parser. Deep enough for any real query, shallow
+/// enough that recursive descent can never overflow the stack — an overflow
+/// aborts the process, which no `catch_unwind` downstream could contain.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a VQL token sequence back into a [`VisQuery`].
 ///
 /// Accepts anything [`VisQuery::to_tokens`] produces; used both to decode
-/// neural-model output and to round-trip stored benchmarks.
+/// neural-model output and to round-trip stored benchmarks. Nesting deeper
+/// than 64 levels (parenthesized predicates plus subqueries) is a
+/// [`ParseError`].
 pub fn parse_vql<S: AsRef<str>>(tokens: &[S]) -> Result<VisQuery, ParseError> {
     let toks: Vec<&str> = tokens.iter().map(|s| s.as_ref()).collect();
-    let mut p = Parser { toks: &toks, pos: 0 };
+    let mut p = Parser { toks: &toks, pos: 0, depth: 0 };
     let q = p.parse_root()?;
     if p.pos != p.toks.len() {
         return Err(p.err(format!("trailing tokens starting with '{}'", p.toks[p.pos])));
@@ -272,6 +280,8 @@ pub fn parse_vql_str(s: &str) -> Result<VisQuery, ParseError> {
 struct Parser<'a> {
     toks: &'a [&'a str],
     pos: usize,
+    /// Current nesting depth (parens + subqueries), bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -328,7 +338,25 @@ impl<'a> Parser<'a> {
         Ok(VisQuery { chart, query })
     }
 
+    /// Bump the nesting depth; errors instead of risking a stack overflow.
+    /// Callers decrement on the success path; on error the whole parse is
+    /// abandoned, so a stale count is harmless.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
     fn parse_set_query(&mut self) -> Result<SetQuery, ParseError> {
+        self.descend()?;
+        let out = self.parse_set_query_inner();
+        self.depth -= 1;
+        out
+    }
+
+    fn parse_set_query_inner(&mut self) -> Result<SetQuery, ParseError> {
         let left = self.parse_body()?;
         let op = match self.peek() {
             Some("intersect") => Some(SetOp::Intersect),
@@ -445,6 +473,7 @@ impl<'a> Parser<'a> {
 
     fn parse_pred(&mut self) -> Result<Predicate, ParseError> {
         if self.eat("(") {
+            self.descend()?;
             let left = self.parse_pred()?;
             let op = self.next()?;
             let is_and = match op {
@@ -457,6 +486,7 @@ impl<'a> Parser<'a> {
             };
             let right = self.parse_pred()?;
             self.expect(")")?;
+            self.depth -= 1;
             Ok(if is_and {
                 Predicate::And(Box::new(left), Box::new(right))
             } else {

@@ -108,7 +108,7 @@ pub fn detect_agg(nl: &str) -> Option<AggFunc> {
 }
 
 /// Detect a simple comparative filter: "(above|greater than|more than|below|
-/// less than|under) <number>" against a quantitative mention.
+/// less than|under) \<number>" against a quantitative mention.
 pub fn detect_numeric_filter(nl: &str) -> Option<(CmpOp, f64)> {
     let s = nl.to_lowercase();
     let words: Vec<&str> = s.split_whitespace().collect();

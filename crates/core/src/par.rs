@@ -274,8 +274,8 @@ fn run_isolated<T, R, S>(
 ///   items report `Err` with a placeholder message rather than hanging.
 ///
 /// Caught panics are reported in the return value, so the default panic
-/// hook's stderr print is suppressed for them (see
-/// [`install_capturing_hook`]); panics anywhere else in the process print
+/// hook's stderr print is suppressed for them (see the private
+/// `install_capturing_hook`); panics anywhere else in the process print
 /// as usual. Aborts — stack overflow, `panic = "abort"` — cannot be caught
 /// by design; callers must bound recursion themselves (the SQL parser's
 /// depth limit exists for exactly this reason).

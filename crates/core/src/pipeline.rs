@@ -12,14 +12,11 @@ use crate::benchmark::{NlVisPair, NvBench, VisObject};
 use crate::error::{NvError, NvErrorKind};
 use crate::par;
 use nv_ast::Hardness;
-use nv_data::{Database, ExecBudget, ExecCache, ExecError};
+use nv_data::{Database, ExecBudget, ExecCache, ExecError, ExecOptions};
 use nv_quality::DeepEyeFilter;
 use nv_spider::SpiderCorpus;
 use nv_sql::{parse_sql, SqlError};
-use nv_synth::{
-    filter_candidates_budgeted, filter_candidates_cached_budgeted, generate_candidates,
-    FilterStats, GoodVis, NlSynthesizer,
-};
+use nv_synth::{filter_candidates, generate_candidates, FilterStats, GoodVis, NlSynthesizer};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
@@ -241,16 +238,8 @@ impl Nl2SqlToNl2Vis {
         };
         let (good, filter_stats) = {
             let _s = nv_trace::span("filter");
-            match cache {
-                Some(c) => filter_candidates_cached_budgeted(
-                    db,
-                    candidates,
-                    &self.filter,
-                    c,
-                    self.cfg.budget,
-                )?,
-                None => filter_candidates_budgeted(db, candidates, &self.filter, self.cfg.budget)?,
-            }
+            let opts = ExecOptions { cache, budget: self.cfg.budget };
+            filter_candidates(db, candidates, &self.filter, opts)?
         };
 
         // Rank survivors by filter score (carried from the filtering pass,

@@ -27,10 +27,10 @@
 //!    keyed by the canonical sub-tree (this also lifts subquery execution
 //!    out of the per-row predicate loop).
 //!
-//! Cached data is shared via `Arc` and never mutated, so
-//! [`execute_with_cache`] is bit-identical to [`execute`] — the cache is a
-//! pure performance layer. A cache is bound to the first database it sees;
-//! using it with another returns [`ExecError::Internal`].
+//! Cached data is shared via `Arc` and never mutated, so [`execute_with`]
+//! through a cache ([`ExecOptions::cache`]) is bit-identical to [`execute`]
+//! — the cache is a pure performance layer. A cache is bound to the first
+//! database it sees; using it with another returns [`ExecError::Internal`].
 
 use crate::schema::ColumnType;
 use crate::table::Database;
@@ -224,10 +224,10 @@ impl ResultSet {
 
     /// Strict order-insensitive equality for differential testing: column
     /// names, column types, and the row multiset must all match. Rows are
-    /// compared through the same float normalization as [`data_eq`]
-    /// (`Self::data_eq`) so an `Int`-path and a `Float`-path aggregate of
-    /// the same quantity agree, but unlike `data_eq` a renamed or retyped
-    /// column is a mismatch.
+    /// compared through the same float normalization as
+    /// [`data_eq`](Self::data_eq) so an `Int`-path and a `Float`-path
+    /// aggregate of the same quantity agree, but unlike `data_eq` a renamed
+    /// or retyped column is a mismatch.
     pub fn multiset_eq(&self, other: &ResultSet) -> bool {
         self.columns == other.columns && self.types == other.types && self.data_eq(other)
     }
@@ -302,14 +302,6 @@ impl ExecCache {
         self.len() == 0
     }
 
-    /// Drop all cached data (e.g. after mutating the database) but keep the
-    /// database binding and stats.
-    pub fn clear(&mut self) {
-        self.scans.clear();
-        self.groups.clear();
-        self.results.clear();
-    }
-
     /// Bind the cache to `db` on first use; refuse any other database after
     /// that, since its memoized scans would be served as the wrong data.
     fn bind(&mut self, db: &Database) -> Result<(), ExecError> {
@@ -342,18 +334,9 @@ struct GroupEntry {
 }
 
 /// Execute a query against a database, ignoring any `Visualize` node. Uses
-/// the (generous) default [`ExecBudget`].
+/// no cache and the (generous) default [`ExecBudget`].
 pub fn execute(db: &Database, q: &VisQuery) -> Result<ResultSet, ExecError> {
-    execute_budgeted(db, q, ExecBudget::default())
-}
-
-/// [`execute`] with an explicit resource budget.
-pub fn execute_budgeted(
-    db: &Database,
-    q: &VisQuery,
-    budget: ExecBudget,
-) -> Result<ResultSet, ExecError> {
-    execute_metered(db, q, budget).map(|(rs, _)| rs)
+    execute_with(db, q, ExecOptions::default()).map(|(rs, _)| rs)
 }
 
 /// What one execution actually charged against its [`ExecBudget`] —
@@ -367,55 +350,40 @@ pub struct ExecSpend {
     pub peak_rows: usize,
 }
 
-/// [`execute_budgeted`], also reporting the budget spend.
-pub fn execute_metered(
+/// How to run one [`execute_with`] call: through an optional per-database
+/// [`ExecCache`], under a resource budget. The default is no cache and
+/// [`ExecBudget::default`].
+#[derive(Debug, Default)]
+pub struct ExecOptions<'c> {
+    /// Memo to execute through. Output is bit-identical with or without
+    /// one; repeated FROM/WHERE/GROUP fragments and subqueries are computed
+    /// once.
+    pub cache: Option<&'c mut ExecCache>,
+    pub budget: ExecBudget,
+}
+
+/// Execute a query under `opts`, also reporting the budget spend. The
+/// one executor entry point; [`execute`] is its no-cache, default-budget
+/// shorthand.
+pub fn execute_with(
     db: &Database,
     q: &VisQuery,
-    budget: ExecBudget,
+    opts: ExecOptions,
 ) -> Result<(ResultSet, ExecSpend), ExecError> {
     fault_check(q)?;
-    let mut e = Exec { cache: None, meter: Meter::new(budget) };
+    let ExecOptions { mut cache, budget } = opts;
+    let stats_before = match cache.as_deref_mut() {
+        Some(c) => {
+            c.bind(db)?;
+            Some(c.stats)
+        }
+        None => None,
+    };
+    let mut e = Exec { cache, meter: Meter::new(budget) };
     let rs = e.set(db, &q.query)?;
     let spend = ExecSpend { fuel_used: e.meter.fuel_used, peak_rows: e.meter.peak_rows };
-    trace_exec(&rs, spend, None);
-    Ok((rs, spend))
-}
-
-/// Execute through a per-database [`ExecCache`]. Output is bit-identical to
-/// [`execute`]; repeated FROM/WHERE/GROUP fragments and subqueries are
-/// computed once. Uses the default [`ExecBudget`].
-pub fn execute_with_cache(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-) -> Result<ResultSet, ExecError> {
-    execute_with_cache_budgeted(db, q, cache, ExecBudget::default())
-}
-
-/// [`execute_with_cache`] with an explicit resource budget.
-pub fn execute_with_cache_budgeted(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-    budget: ExecBudget,
-) -> Result<ResultSet, ExecError> {
-    execute_with_cache_metered(db, q, cache, budget).map(|(rs, _)| rs)
-}
-
-/// [`execute_with_cache_budgeted`], also reporting the budget spend.
-pub fn execute_with_cache_metered(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-    budget: ExecBudget,
-) -> Result<(ResultSet, ExecSpend), ExecError> {
-    fault_check(q)?;
-    cache.bind(db)?;
-    let stats_before = cache.stats;
-    let mut e = Exec { cache: Some(cache), meter: Meter::new(budget) };
-    let rs = e.set(db, &q.query)?;
-    let spend = ExecSpend { fuel_used: e.meter.fuel_used, peak_rows: e.meter.peak_rows };
-    trace_exec(&rs, spend, Some((stats_before, cache.stats)));
+    let stats = stats_before.zip(e.cache.map(|c| c.stats));
+    trace_exec(&rs, spend, stats);
     Ok((rs, spend))
 }
 
@@ -1323,6 +1291,14 @@ mod tests {
     use crate::value::Timestamp;
     use nv_ast::tokens::parse_vql_str;
 
+    fn cached(cache: &mut ExecCache) -> ExecOptions<'_> {
+        ExecOptions { cache: Some(cache), ..ExecOptions::default() }
+    }
+
+    fn budgeted(budget: ExecBudget) -> ExecOptions<'static> {
+        ExecOptions { cache: None, budget }
+    }
+
     fn db() -> Database {
         let mut db = Database::new("flights", "Flight");
         db.add_table(table_from(
@@ -1730,9 +1706,9 @@ mod tests {
         for vql in queries {
             let q = parse_vql_str(vql).unwrap();
             let plain = execute(&db, &q).unwrap();
-            let cold = execute_with_cache(&db, &q, &mut cache).unwrap();
+            let (cold, _) = execute_with(&db, &q, cached(&mut cache)).unwrap();
             assert_eq!(plain, cold, "cold-cache mismatch on {vql}");
-            let warm = execute_with_cache(&db, &q, &mut cache).unwrap();
+            let (warm, _) = execute_with(&db, &q, cached(&mut cache)).unwrap();
             assert_eq!(plain, warm, "warm-cache mismatch on {vql}");
         }
         assert!(cache.stats.scan_hits > 0, "warm runs must hit the scan cache");
@@ -1757,7 +1733,7 @@ mod tests {
         ];
         for vql in variants {
             let q = parse_vql_str(vql).unwrap();
-            execute_with_cache(&db, &q, &mut cache).unwrap();
+            execute_with(&db, &q, cached(&mut cache)).unwrap();
         }
         // One unique (FROM, WHERE) fragment → one scan miss, three hits.
         assert_eq!(cache.stats.scan_misses, 1);
@@ -1778,19 +1754,19 @@ mod tests {
         ));
         let q = parse_vql_str("select flight.fno from flight").unwrap();
         let mut cache = ExecCache::new();
-        execute_with_cache(&a, &q, &mut cache).unwrap();
+        execute_with(&a, &q, cached(&mut cache)).unwrap();
         let q2 = parse_vql_str("select t.x from t").unwrap();
-        match execute_with_cache(&b, &q2, &mut cache) {
+        match execute_with(&b, &q2, cached(&mut cache)) {
             Err(ExecError::Internal(m)) => assert!(m.contains("bound to database"), "{m}"),
             other => panic!("expected Internal error, got {other:?}"),
         }
         // The refusal leaves the cache bound to, and usable with, its database.
-        assert!(execute_with_cache(&a, &q, &mut cache).is_ok());
+        assert!(execute_with(&a, &q, cached(&mut cache)).is_ok());
     }
 
     // ---- resource budgets ------------------------------------------------
 
-    fn assert_exhausted(r: Result<ResultSet, ExecError>, needle: &str) {
+    fn assert_exhausted<T: std::fmt::Debug>(r: Result<T, ExecError>, needle: &str) {
         match r {
             Err(ExecError::ResourceExhausted(m)) => {
                 assert!(m.contains(needle), "message '{m}' lacks '{needle}'")
@@ -1804,7 +1780,7 @@ mod tests {
         let q = parse_vql_str("select flight.fno from flight").unwrap();
         let budget = ExecBudget { max_rows: 3, ..ExecBudget::default() };
         // The flight table has 5 rows; a 3-row ceiling must refuse the scan.
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "rows");
+        assert_exhausted(execute_with(&db(), &q, budgeted(budget)), "rows");
     }
 
     #[test]
@@ -1815,7 +1791,7 @@ mod tests {
         )
         .unwrap();
         let budget = ExecBudget { max_rows: 6, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "rows");
+        assert_exhausted(execute_with(&db(), &q, budgeted(budget)), "rows");
     }
 
     #[test]
@@ -1827,15 +1803,15 @@ mod tests {
         )
         .unwrap();
         let shallow = ExecBudget { max_subquery_depth: 1, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, shallow), "depth");
+        assert_exhausted(execute_with(&db(), &q, budgeted(shallow)), "depth");
         // Depth 2 is exactly enough.
         let deep = ExecBudget { max_subquery_depth: 2, ..ExecBudget::default() };
-        assert_eq!(execute_budgeted(&db(), &q, deep).unwrap().rows.len(), 2);
+        assert_eq!(execute_with(&db(), &q, budgeted(deep)).unwrap().0.rows.len(), 2);
         // The limit trips identically through a cache, warm or cold.
         let mut cache = ExecCache::new();
         for _ in 0..2 {
-            let r = execute_with_cache_budgeted(&db(), &q, &mut cache, shallow);
-            assert_exhausted(r, "depth");
+            let opts = ExecOptions { cache: Some(&mut cache), budget: shallow };
+            assert_exhausted(execute_with(&db(), &q, opts), "depth");
         }
     }
 
@@ -1847,7 +1823,7 @@ mod tests {
         )
         .unwrap();
         let budget = ExecBudget { fuel: 3, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "fuel");
+        assert_exhausted(execute_with(&db(), &q, budgeted(budget)), "fuel");
     }
 
     #[test]
@@ -1857,8 +1833,8 @@ mod tests {
              join airport on flight.src = airport.id group by airport.city",
         )
         .unwrap();
-        let defaulted = execute_budgeted(&db(), &q, ExecBudget::default()).unwrap();
-        let unlimited = execute_budgeted(&db(), &q, ExecBudget::unlimited()).unwrap();
+        let defaulted = execute_with(&db(), &q, budgeted(ExecBudget::default())).unwrap();
+        let unlimited = execute_with(&db(), &q, budgeted(ExecBudget::unlimited())).unwrap();
         assert_eq!(defaulted, unlimited);
     }
 
@@ -1887,11 +1863,9 @@ mod tests {
         let mut cache = ExecCache::new();
         for vql in queries {
             let q = parse_vql_str(vql).unwrap();
-            let (_, plain) = execute_metered(&db, &q, ExecBudget::default()).unwrap();
-            let (_, cold) =
-                execute_with_cache_metered(&db, &q, &mut cache, ExecBudget::default()).unwrap();
-            let (_, warm) =
-                execute_with_cache_metered(&db, &q, &mut cache, ExecBudget::default()).unwrap();
+            let (_, plain) = execute_with(&db, &q, ExecOptions::default()).unwrap();
+            let (_, cold) = execute_with(&db, &q, cached(&mut cache)).unwrap();
+            let (_, warm) = execute_with(&db, &q, cached(&mut cache)).unwrap();
             assert_eq!(plain, cold, "cold-cache spend diverged on {vql}");
             assert_eq!(plain, warm, "warm-cache spend diverged on {vql}");
         }
@@ -1910,34 +1884,23 @@ mod tests {
              group by flight.destination",
         )
         .unwrap();
-        let (_, spend) = execute_metered(&db, &q, ExecBudget::unlimited()).unwrap();
+        let (_, spend) = execute_with(&db, &q, budgeted(ExecBudget::unlimited())).unwrap();
         assert!(spend.fuel_used > 1);
         let enough = ExecBudget { fuel: spend.fuel_used, ..ExecBudget::default() };
         let short = ExecBudget { fuel: spend.fuel_used - 1, ..ExecBudget::default() };
 
         let mut cache = ExecCache::new();
-        assert_exhausted(execute_with_cache_budgeted(&db, &q, &mut cache, short), "fuel");
+        let r = execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), budget: short });
+        assert_exhausted(r, "fuel");
 
         let mut cache = ExecCache::new();
-        execute_with_cache_budgeted(&db, &q, &mut cache, enough).unwrap();
+        execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), budget: enough }).unwrap();
         // Warm hit: previously the cached scan skipped its charges and
         // slipped under the limit; it must trip exactly like the cold run.
-        assert_exhausted(execute_with_cache_budgeted(&db, &q, &mut cache, short), "fuel");
-        let (_, warm) = execute_with_cache_metered(&db, &q, &mut cache, enough).unwrap();
+        let r = execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), budget: short });
+        assert_exhausted(r, "fuel");
+        let (_, warm) =
+            execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), budget: enough }).unwrap();
         assert_eq!(warm, spend);
-    }
-
-    #[test]
-    fn cache_clear_resets_entries() {
-        let db = db();
-        let mut cache = ExecCache::new();
-        let q = parse_vql_str("select flight.fno from flight").unwrap();
-        execute_with_cache(&db, &q, &mut cache).unwrap();
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        // Still bound and usable after clear.
-        execute_with_cache(&db, &q, &mut cache).unwrap();
-        assert_eq!(cache.stats.scan_misses, 2);
     }
 }

@@ -39,8 +39,8 @@ pub mod value;
 
 pub use csv::{table_from_csv, table_from_csv_lenient, CsvError, CsvLoadReport};
 pub use exec::{
-    execute, execute_budgeted, execute_metered, execute_with_cache, execute_with_cache_budgeted,
-    execute_with_cache_metered, CacheStats, ExecBudget, ExecCache, ExecError, ExecSpend, ResultSet,
+    execute, execute_with, CacheStats, ExecBudget, ExecCache, ExecError, ExecOptions, ExecSpend,
+    ResultSet,
 };
 pub use schema::{Column, ColumnType, ForeignKey, TableSchema};
 pub use table::{table_from, Database, Table};

@@ -9,7 +9,7 @@
 //! reduction order**. The blocked kernels change *memory access* — packed
 //! transposed panels, register tiles — but never the per-element summation
 //! order, so they are **bit-identical** to the straightforward reference
-//! kernels in [`reference`], which reduce with the same `dot` over
+//! kernels in [`reference`](mod@reference), which reduce with the same `dot` over
 //! explicitly gathered rows. `tests/train_determinism.rs` holds whole
 //! training runs to this equality, and the unit tests below hold every
 //! kernel to it shape-by-shape.
@@ -18,7 +18,7 @@
 //!
 //! Training and decoding are matvec-dominated (column-vector activations),
 //! so `matmul` and `matvec_acc` share a contiguous matvec path that reduces
-//! four weight rows at a time ([`dot4`]: four independent accumulator
+//! four weight rows at a time (`dot4`: four independent accumulator
 //! chains, each in [`dot`]'s exact order); the general kernels pack the
 //! transposed operand once per call (thread-local scratch, no per-call
 //! allocation) and walk register tiles over contiguous panel rows — the
@@ -204,7 +204,7 @@ impl Matrix {
 
     /// `self × other` into a pre-shaped output (fully overwritten). The
     /// matrix-×-column-vector case (the seq2seq hot path) takes the
-    /// four-row [`dot4`] matvec path; the general case packs `otherᵀ` and
+    /// four-row `dot4` matvec path; the general case packs `otherᵀ` and
     /// sweeps register tiles over contiguous panel rows.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
@@ -236,7 +236,7 @@ impl Matrix {
 
     /// `selfᵀ × other` into a pre-shaped output (fully overwritten) — the
     /// `Wᵀ g` backprop kernel. The matvec case reads `selfᵀ`'s rows in
-    /// place with [`dot_strided`] (packing would cost as much as the
+    /// place with `dot_strided` (packing would cost as much as the
     /// matvec); the general case packs both transposes so every inner loop
     /// is a contiguous [`dot`].
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
@@ -294,7 +294,7 @@ impl Matrix {
 
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
     /// fused affine ops. Each row's product is a full fixed-order [`dot`]
-    /// (four rows at a time through [`dot4`]) added to the existing value,
+    /// (four rows at a time through `dot4`) added to the existing value,
     /// mirroring what a `Matmul` node followed by an `Add` node computes
     /// element-by-element.
     pub fn matvec_acc(&self, x: &Matrix, out: &mut Matrix) {

@@ -1,20 +1,22 @@
 //! The differential runner: generated (database, query) cases executed by
-//! the reference interpreter and by every production entry point —
-//! `execute` and `execute_with_cache` (cold and warm) — compared under order-insensitive multiset equality, with failures shrunk
-//! to minimal counterexamples.
+//! the reference interpreter and by the production executor
+//! ([`nv_data::execute_with`]) without a cache and through one (cold and
+//! warm), compared under order-insensitive multiset equality, with failures
+//! shrunk to minimal counterexamples.
 
 use crate::gen;
 use crate::interp::oracle_execute;
 use nv_ast::{Operand, Predicate, SetQuery, VisQuery};
-use nv_data::{Database, ExecCache, ExecError, ResultSet};
+use nv_data::{Database, ExecCache, ExecError, ExecOptions, ResultSet};
 
 /// Configuration for one differential batch.
 #[derive(Debug, Clone)]
 pub struct DiffConfig {
     /// Batch seed; `case i` is `gen::gen_case(seed, i)`.
     pub seed: u64,
-    /// Number of generated databases (each runs [`QUERIES_PER_CASE`] queries
-    /// through three engine paths).
+    /// Number of generated databases (each runs
+    /// [`QUERIES_PER_CASE`](crate::gen::QUERIES_PER_CASE) queries through
+    /// three engine paths).
     pub cases: usize,
     /// Shrink the first divergence to a minimal counterexample before
     /// reporting (costs extra executions on failure only).
@@ -142,8 +144,9 @@ fn classify(oracle: &Result<ResultSet, ExecError>, engine: &Result<ResultSet, Ex
     }
 }
 
-/// The three production paths under test. `execute` runs under the default
-/// [`nv_data::ExecBudget`], so it also covers the budgeted entry point.
+/// The three production paths under test, all through
+/// [`nv_data::execute_with`] under the default [`nv_data::ExecBudget`]:
+/// `execute` without a cache, `cache-cold` and `cache-warm` through one.
 /// `cache-warm` re-executes against a cache already populated by the cold
 /// run, so memoized scans/groups/results are actually exercised.
 const ENGINES: [&str; 3] = ["execute", "cache-cold", "cache-warm"];
@@ -154,10 +157,9 @@ fn run_engine(
     q: &VisQuery,
     cache: &mut ExecCache,
 ) -> Result<ResultSet, ExecError> {
-    match engine {
-        "execute" => nv_data::execute(db, q),
-        _ => nv_data::execute_with_cache(db, q, cache),
-    }
+    let cache = if engine == "execute" { None } else { Some(cache) };
+    let opts = ExecOptions { cache, ..ExecOptions::default() };
+    nv_data::execute_with(db, q, opts).map(|(rs, _)| rs)
 }
 
 /// Run one batch of differential cases.

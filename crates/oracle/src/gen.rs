@@ -44,7 +44,7 @@ pub fn gen_case(seed: u64, index: usize) -> (Database, Vec<VisQuery>) {
 
 /// Keep the previous query's scan (FROM/JOIN/WHERE) and grouping verbatim
 /// but regenerate the aggregate, ORDER BY, and superlative. Sibling queries
-/// share scan- and group-layer cache keys in `execute_with_cache`, so the
+/// share scan- and group-layer cache keys in a cached `execute_with`, so the
 /// warm paths run with *different* downstream work — exactly where a
 /// stale-cache bug would hide from independently generated queries.
 fn derive_sibling(rng: &mut StdRng, db: &Database, prev: &VisQuery) -> Option<VisQuery> {

@@ -12,8 +12,9 @@
 //!   (FKs, NULLs, duplicate keys, empty tables) and random well-typed
 //!   queries biased toward the Spider-subset shapes the synthesizer emits.
 //! * [`diff`] — the differential runner: every generated case through
-//!   `execute` and `execute_with_cache` (cold + warm), compared against the oracle under order-insensitive multiset equality,
-//!   with failing cases shrunk to minimal counterexamples.
+//!   `nv_data::execute_with` without a cache and through one (cold + warm),
+//!   compared against the oracle under order-insensitive multiset
+//!   equality, with failing cases shrunk to minimal counterexamples.
 //! * [`laws`] — metamorphic laws that need no oracle at all: predicate
 //!   conjunction commutes, `top k` is a prefix of `top k+1`, `A EXCEPT A`
 //!   is empty, UNION/INTERSECT commute as multisets, binning partitions the

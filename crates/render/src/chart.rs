@@ -3,8 +3,8 @@
 
 use nv_ast::{ChartType, VisQuery};
 use nv_data::{
-    execute_budgeted, execute_with_cache_budgeted, ColumnType, Database, ExecBudget, ExecCache,
-    ExecError, ResultSet, Value,
+    execute_with, ColumnType, Database, ExecBudget, ExecCache, ExecError, ExecOptions, ResultSet,
+    Value,
 };
 
 /// Error producing chart data.
@@ -75,54 +75,43 @@ impl ChartData {
     }
 }
 
-/// Execute a VIS tree and map its result columns onto chart channels.
+/// Execute a VIS tree and map its result columns onto chart channels, with
+/// no cache and the default executor budget.
 ///
 /// Channel convention (established by the synthesizer's select ordering):
 /// column 0 → x, column 1 → y, column 2 (grouped charts) → color/series.
 /// For `GroupingScatter` the third select attribute is the categorical
 /// series even though x and y are both quantitative.
 pub fn chart_data(db: &Database, q: &VisQuery) -> Result<ChartData, RenderError> {
-    chart_data_budgeted(db, q, ExecBudget::default())
+    chart_data_with(db, q, ExecOptions::default())
 }
 
-/// [`chart_data`] with an explicit executor resource budget.
-pub fn chart_data_budgeted(
+/// [`chart_data`] executed under explicit [`ExecOptions`]: a per-database
+/// [`ExecCache`] lets sibling candidates sharing a FROM/WHERE/GROUP
+/// fragment reuse work, and the budget bounds the executor.
+pub fn chart_data_with(
     db: &Database,
     q: &VisQuery,
-    budget: ExecBudget,
+    opts: ExecOptions,
 ) -> Result<ChartData, RenderError> {
     let chart = q.chart.ok_or(RenderError::NotAVisQuery)?;
-    let rs = execute_budgeted(db, q, budget)?;
+    let (rs, _) = execute_with(db, q, opts)?;
     chart_data_from_result(chart, &rs)
 }
 
-/// Like [`chart_data`] but executing through a per-database [`ExecCache`],
-/// so sibling candidates sharing a FROM/WHERE/GROUP fragment reuse work.
-pub fn chart_data_cached(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-) -> Result<ChartData, RenderError> {
-    chart_data_cached_budgeted(db, q, cache, ExecBudget::default())
-}
-
-/// [`chart_data_cached`] with an explicit executor resource budget.
+/// [`chart_data_with`] through `cache` under `budget`. Kept only because
+/// the `nvperf` benchmark (`nvperf/src/synth.rs`) calls it.
 pub fn chart_data_cached_budgeted(
     db: &Database,
     q: &VisQuery,
     cache: &mut ExecCache,
     budget: ExecBudget,
 ) -> Result<ChartData, RenderError> {
-    let chart = q.chart.ok_or(RenderError::NotAVisQuery)?;
-    let rs = execute_with_cache_budgeted(db, q, cache, budget)?;
-    chart_data_from_result(chart, &rs)
+    chart_data_with(db, q, ExecOptions { cache: Some(cache), budget })
 }
 
 /// Channel-map an already-executed result set.
-pub fn chart_data_from_result(
-    chart: ChartType,
-    rs: &ResultSet,
-) -> Result<ChartData, RenderError> {
+fn chart_data_from_result(chart: ChartType, rs: &ResultSet) -> Result<ChartData, RenderError> {
     let need = if chart.is_grouped() { 3 } else { 2 };
     if rs.columns.len() != need {
         return Err(RenderError::Shape(format!(

@@ -33,8 +33,7 @@ pub mod echarts;
 pub mod vegalite;
 
 pub use chart::{
-    chart_data, chart_data_budgeted, chart_data_cached, chart_data_cached_budgeted,
-    chart_data_from_result, ChartData, ChartRow, RenderError,
+    chart_data, chart_data_cached_budgeted, chart_data_with, ChartData, ChartRow, RenderError,
 };
 pub use echarts::to_echarts;
 pub use vegalite::to_vega_lite;

@@ -3,9 +3,9 @@
 //! expert rules and the trained classifier; only good charts survive.
 
 use crate::edits::VisCandidate;
-use nv_data::{Database, ExecBudget, ExecCache, ExecError};
+use nv_data::{Database, ExecError, ExecOptions};
 use nv_quality::DeepEyeFilter;
-use nv_render::{chart_data_budgeted, chart_data_cached_budgeted, ChartData, RenderError};
+use nv_render::{chart_data_with, ChartData, RenderError};
 
 /// A candidate that survived filtering, with its executed chart data.
 #[derive(Debug, Clone)]
@@ -28,8 +28,10 @@ pub struct FilterStats {
     pub pruned: usize,
 }
 
-/// Apply M(v) to every candidate, keeping the good ones. Uses the default
-/// [`ExecBudget`].
+/// Apply M(v) to every candidate, keeping the good ones, executing each
+/// under `opts`. Sibling candidates overwhelmingly share their
+/// FROM/WHERE/GROUP fragments, so with a per-database [`ExecCache`] in
+/// `opts` the scan work is done once.
 ///
 /// Per-candidate execution failures (shape errors, unknown columns) are
 /// tolerated and counted in [`FilterStats::failed_exec`] — a bad candidate
@@ -37,53 +39,13 @@ pub struct FilterStats {
 /// a blown resource budget ([`ExecError::ResourceExhausted`]) or an internal
 /// invariant violation ([`ExecError::Internal`]), both of which mean the
 /// pair itself is pathological and belongs in quarantine.
+///
+/// [`ExecCache`]: nv_data::ExecCache
 pub fn filter_candidates(
     db: &Database,
     candidates: Vec<VisCandidate>,
     filter: &DeepEyeFilter,
-) -> Result<(Vec<GoodVis>, FilterStats), ExecError> {
-    filter_impl(db, candidates, filter, None, ExecBudget::default())
-}
-
-/// [`filter_candidates`] with an explicit executor resource budget.
-pub fn filter_candidates_budgeted(
-    db: &Database,
-    candidates: Vec<VisCandidate>,
-    filter: &DeepEyeFilter,
-    budget: ExecBudget,
-) -> Result<(Vec<GoodVis>, FilterStats), ExecError> {
-    filter_impl(db, candidates, filter, None, budget)
-}
-
-/// Like [`filter_candidates`] but executing candidates through a
-/// per-database [`ExecCache`]: sibling candidates overwhelmingly share
-/// their FROM/WHERE/GROUP fragments, so the scan work is done once.
-pub fn filter_candidates_cached(
-    db: &Database,
-    candidates: Vec<VisCandidate>,
-    filter: &DeepEyeFilter,
-    cache: &mut ExecCache,
-) -> Result<(Vec<GoodVis>, FilterStats), ExecError> {
-    filter_impl(db, candidates, filter, Some(cache), ExecBudget::default())
-}
-
-/// [`filter_candidates_cached`] with an explicit executor resource budget.
-pub fn filter_candidates_cached_budgeted(
-    db: &Database,
-    candidates: Vec<VisCandidate>,
-    filter: &DeepEyeFilter,
-    cache: &mut ExecCache,
-    budget: ExecBudget,
-) -> Result<(Vec<GoodVis>, FilterStats), ExecError> {
-    filter_impl(db, candidates, filter, Some(cache), budget)
-}
-
-fn filter_impl(
-    db: &Database,
-    candidates: Vec<VisCandidate>,
-    filter: &DeepEyeFilter,
-    mut cache: Option<&mut ExecCache>,
-    budget: ExecBudget,
+    mut opts: ExecOptions,
 ) -> Result<(Vec<GoodVis>, FilterStats), ExecError> {
     let mut stats = FilterStats { total: candidates.len(), ..Default::default() };
     let mut good = Vec::new();
@@ -94,11 +56,8 @@ fn filter_impl(
         if nv_fault::armed() {
             nv_fault::panic_if("synth.filter", nv_fault::key_str(&candidate.tree.to_vql()));
         }
-        let data = match cache.as_deref_mut() {
-            Some(c) => chart_data_cached_budgeted(db, &candidate.tree, c, budget),
-            None => chart_data_budgeted(db, &candidate.tree, budget),
-        };
-        match data {
+        let cand_opts = ExecOptions { cache: opts.cache.as_deref_mut(), budget: opts.budget };
+        match chart_data_with(db, &candidate.tree, cand_opts) {
             Err(RenderError::Exec(
                 e @ (ExecError::ResourceExhausted(_) | ExecError::Internal(_)),
             )) => return Err(e),
@@ -128,7 +87,7 @@ mod tests {
     use super::*;
     use crate::edits::generate_candidates;
     use nv_ast::tokens::parse_vql_str;
-    use nv_data::{table_from, ColumnType, Value};
+    use nv_data::{table_from, ColumnType, ExecBudget, Value};
 
     fn db(n_cats: usize) -> Database {
         let mut db = Database::new("d", "Demo");
@@ -159,7 +118,8 @@ mod tests {
             &good_db,
             &parse_vql_str("select t.cat , t.q from t").unwrap(),
         );
-        let (good, stats) = filter_candidates(&good_db, cands, &filter).unwrap();
+        let (good, stats) =
+            filter_candidates(&good_db, cands, &filter, ExecOptions::default()).unwrap();
         assert!(stats.kept > 0, "{stats:?}");
         assert_eq!(stats.total, stats.kept + stats.pruned + stats.failed_exec);
         assert!(!good.is_empty());
@@ -170,7 +130,8 @@ mod tests {
             &bad_db,
             &parse_vql_str("select t.cat from t").unwrap(),
         );
-        let (good, stats) = filter_candidates(&bad_db, cands, &filter).unwrap();
+        let (good, stats) =
+            filter_candidates(&bad_db, cands, &filter, ExecOptions::default()).unwrap();
         assert_eq!(good.len(), 0, "{stats:?}");
         assert!(stats.pruned > 0);
     }
@@ -183,9 +144,11 @@ mod tests {
             &d,
             &parse_vql_str("select t.cat , t.q from t").unwrap(),
         );
-        let (plain, s1) = filter_candidates(&d, cands.clone(), &filter).unwrap();
+        let (plain, s1) =
+            filter_candidates(&d, cands.clone(), &filter, ExecOptions::default()).unwrap();
         let mut cache = nv_data::ExecCache::new();
-        let (cached, s2) = filter_candidates_cached(&d, cands, &filter, &mut cache).unwrap();
+        let opts = ExecOptions { cache: Some(&mut cache), ..ExecOptions::default() };
+        let (cached, s2) = filter_candidates(&d, cands, &filter, opts).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(plain.len(), cached.len());
         for (a, b) in plain.iter().zip(&cached) {
@@ -200,7 +163,7 @@ mod tests {
         let filter = DeepEyeFilter::new(42);
         let d = db(5);
         let cands = generate_candidates(&d, &parse_vql_str("select t.cat from t").unwrap());
-        let (good, _) = filter_candidates(&d, cands, &filter).unwrap();
+        let (good, _) = filter_candidates(&d, cands, &filter, ExecOptions::default()).unwrap();
         for g in &good {
             assert!(!g.data.rows.is_empty());
             assert_eq!(Some(g.data.chart), g.candidate.tree.chart);
@@ -219,11 +182,12 @@ mod tests {
         // Starve the executor: the pass must surface ResourceExhausted
         // rather than count every candidate as a routine exec failure.
         let starved = ExecBudget { fuel: 1, ..ExecBudget::default() };
-        let e = filter_candidates_budgeted(&d, cands.clone(), &filter, starved).unwrap_err();
+        let opts = ExecOptions { cache: None, budget: starved };
+        let e = filter_candidates(&d, cands.clone(), &filter, opts).unwrap_err();
         assert!(matches!(e, ExecError::ResourceExhausted(_)), "{e}");
         let mut cache = nv_data::ExecCache::new();
-        let e = filter_candidates_cached_budgeted(&d, cands, &filter, &mut cache, starved)
-            .unwrap_err();
+        let opts = ExecOptions { cache: Some(&mut cache), budget: starved };
+        let e = filter_candidates(&d, cands, &filter, opts).unwrap_err();
         assert!(matches!(e, ExecError::ResourceExhausted(_)), "{e}");
     }
 }

@@ -15,9 +15,6 @@ pub mod nledit;
 pub mod smoother;
 
 pub use edits::{attr_ctype, generate_candidates, strip_order, VisCandidate};
-pub use filter::{
-    filter_candidates, filter_candidates_budgeted, filter_candidates_cached,
-    filter_candidates_cached_budgeted, FilterStats, GoodVis,
-};
+pub use filter::{filter_candidates, FilterStats, GoodVis};
 pub use nledit::{describe_data_part, NlResult, NlSynthesizer};
 pub use smoother::{normalize, smooth};

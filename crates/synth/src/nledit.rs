@@ -3,8 +3,8 @@
 //!
 //! * **Insertions** are verbalized with phrase rules (the paper extracts
 //!   these from Ask Data / NL4DV; the rule table of §2.5 is reproduced in
-//!   [`chart_phrase`], [`grouping_phrase`], [`binning_phrase`],
-//!   [`order_phrase`] and the aggregate wording).
+//!   the private `chart_phrase`, `grouping_phrase`, `binning_phrase` and
+//!   `order_phrase` helpers and the aggregate wording).
 //! * **Deletions** cannot be rewritten automatically (the deleted clause may
 //!   be implicit in the original NL); the paper had two PhD students revise
 //!   those by hand (~1 min each). We simulate that manual pass by

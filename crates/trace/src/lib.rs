@@ -23,10 +23,6 @@
 //! run) or when [`report`]/[`flush`] runs on that thread. This keeps the
 //! enabled path lock-free per probe; the single global mutex is touched
 //! once per thread, not once per event.
-//!
-//! The `noop` cargo feature hard-disables everything at compile time; the
-//! disabled-path tests and the throughput acceptance gate run against the
-//! default (runtime-disarmed) build, which is what ships.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -41,14 +37,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Is tracing armed? One relaxed load; every probe checks this first.
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        false
-    } else {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Arm tracing process-wide. A no-op under the `noop` feature.
+/// Arm tracing process-wide.
 pub fn enable() {
     ENABLED.store(true, Ordering::SeqCst);
 }

@@ -2,8 +2,10 @@
 # The repo's CI gate, runnable locally. Stages:
 #
 #   scripts/ci.sh                  # everything (build, tests, faults,
-#                                  # warnings, differential, golden, trace,
-#                                  # gradcheck, nvperf)
+#                                  # warnings, doc, differential, golden,
+#                                  # trace, gradcheck, nvperf)
+#   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
+#                                  # private intra-doc links fail)
 #   scripts/ci.sh differential     # 5,000-case differential-oracle batch
 #   scripts/ci.sh golden           # verify golden corpus snapshots
 #   scripts/ci.sh golden --bless   # regenerate snapshots, then re-verify
@@ -13,14 +15,20 @@
 #   scripts/ci.sh nvperf           # benchmark-harness tests, including a
 #                                  # tiny checked smoke run of every workload
 #
-# The differential stage runs every generated query through all three
-# executor entry points (plain, cache-cold, cache-warm) against the
-# reference interpreter and fails on the first divergence; a failure
-# prints a shrunk counterexample with a `gen_case(seed, case)` repro line.
+# The differential stage runs every generated query through the executor's
+# one entry point, `execute_with`, three ways (no cache, cache-cold,
+# cache-warm) against the reference interpreter and fails on the first
+# divergence; a failure prints a shrunk counterexample with a
+# `gen_case(seed, case)` repro line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
+
+run_doc() {
+  echo "=== rustdoc: whole workspace, warnings are errors ==="
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
 
 run_differential() {
   echo "=== differential oracle (5,000 seeded cases × 3 engines) ==="
@@ -56,6 +64,10 @@ run_nvperf() {
 }
 
 case "$stage" in
+  doc)
+    run_doc
+    exit 0
+    ;;
   differential)
     run_differential
     exit 0
@@ -78,36 +90,39 @@ case "$stage" in
     ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
+    echo "usage: scripts/ci.sh [all|doc|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/9] cargo build --release ==="
+echo "=== [1/10] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/9] cargo test -q (every workspace crate) ==="
+echo "=== [2/10] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/9] fault-injection harness ==="
+echo "=== [3/10] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [4/9] warnings-clean (whole workspace, all targets) ==="
+echo "=== [4/10] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [5/9] differential oracle ==="
+echo "=== [5/10] warnings-clean rustdoc ==="
+run_doc
+
+echo "=== [6/10] differential oracle ==="
 run_differential
 
-echo "=== [6/9] golden snapshots ==="
+echo "=== [7/10] golden snapshots ==="
 run_golden
 
-echo "=== [7/9] trace observability gate ==="
+echo "=== [8/10] trace observability gate ==="
 run_trace
 
-echo "=== [8/9] training-kernel gradcheck + determinism gate ==="
+echo "=== [9/10] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [9/9] benchmark harness (nvperf) ==="
+echo "=== [10/10] benchmark harness (nvperf) ==="
 run_nvperf
 
 echo "=== CI green ==="
