@@ -26,9 +26,11 @@
 //! (default: `quarantine.json` next to the other outputs whenever any pair
 //! was quarantined).
 //!
-//! `trace=PATH` arms the `nv-trace` observability layer for the corpus
-//! synthesis step and writes the aggregated report (executor counters,
-//! worker-pool gauges, per-stage span timings) as `nv-trace/v1` JSON.
+//! `trace=PATH` arms the `nv-trace` observability layer for the whole run —
+//! corpus synthesis, every paper section, training and scoring (`data`
+//! stops after the data sections) — and writes the aggregated report
+//! (executor counters, worker-pool gauges, per-stage span timings such as
+//! `seq2vis.eval` and `nn.decode`) once, at the end, as `nv-trace/v1` JSON.
 
 use nv_bench::experiments::*;
 use nv_bench::{Context, Scale};
@@ -72,14 +74,6 @@ fn main() {
         scale,
         SynthesizerConfig { threads, budget, ..Default::default() },
     );
-    if let Some(path) = &trace_path {
-        nvbench::trace::disable();
-        let report = nvbench::trace::report();
-        match std::fs::write(path, report.to_json_string_pretty()) {
-            Ok(()) => println!("[trace] synthesis trace report written to {path}\n"),
-            Err(e) => println!("[trace] could not write {path}: {e}\n"),
-        }
-    }
     println!(
         "[setup] corpus: {} databases, {} (nl,sql) pairs → benchmark: {} vis, {} (nl,vis) pairs ({:.1}s)\n",
         ctx.corpus.databases.len(),
@@ -108,6 +102,21 @@ fn main() {
         }
     }
 
+    paper_sections(ctx, scale, data_only);
+    if let Some(path) = &trace_path {
+        nvbench::trace::disable();
+        let report = nvbench::trace::report();
+        match std::fs::write(path, report.to_json_string_pretty()) {
+            Ok(()) => println!("[trace] trace report written to {path}"),
+            Err(e) => println!("[trace] could not write {path}: {e}"),
+        }
+    }
+    println!("=== total {:.1}s ===", t0.elapsed().as_secs_f64());
+}
+
+/// Every paper section after setup: the data sections, then (unless
+/// `data_only`) training and the model sections.
+fn paper_sections(ctx: &Context, scale: Scale, data_only: bool) {
     section("table2", || exp_table2(ctx));
     section("table3", || exp_table3(ctx));
     section("fig7", exp_fig7);
@@ -137,8 +146,6 @@ fn main() {
     section("table5", || exp_table5(ctx, scale, &reports[1]));
     section("fig19", || exp_fig19(&reports[1].0, ctx));
     section("fig18", || exp_fig18(ctx, scale));
-
-    println!("=== total {:.1}s ===", t0.elapsed().as_secs_f64());
 }
 
 /// Print one report section, then the wall time its body took as

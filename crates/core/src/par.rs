@@ -1,21 +1,26 @@
 //! A minimal deterministic work-queue thread pool (no dependencies).
 //!
-//! [`map_ordered`] fans a function over a slice from a shared atomic work
-//! queue and returns the results **in input order**, so callers observe
-//! exactly what a sequential `iter().map()` would have produced no matter
-//! how the OS schedules the workers. Each worker owns a private state value
-//! (built by `init`) that lives for the whole run — the synthesizer uses it
-//! to hold per-database execution caches.
+//! [`map_ordered_isolated`] fans a function over a slice from a shared
+//! atomic work queue and returns one [`Isolated`] outcome per item **in
+//! input order**, so callers observe exactly what a sequential
+//! `iter().map()` would have produced no matter how the OS schedules the
+//! workers. Each worker owns a private state value (built by `init`) that
+//! lives for the whole run — the synthesizer uses it to hold per-database
+//! execution caches. [`map_ordered`] is the same pool for work that is not
+//! expected to panic: it unwraps the outcomes and re-raises the first
+//! failed item's panic on the caller's thread.
 //!
 //! Design notes:
+//! * one worker loop (the private `drain`) serves both the inline
+//!   one-thread path and every pooled worker;
 //! * scheduling is a single `AtomicUsize` fetch-add — workers race for the
 //!   next index, which balances uneven per-item cost better than static
 //!   chunking (synthesis cost varies wildly with SQL complexity);
 //! * results flow back over an `mpsc` channel tagged with their index and
 //!   are written into a pre-sized slot vector, so the merge is O(n) and
 //!   allocation-free;
-//! * `std::thread::scope` lets workers borrow the input slice and the
-//!   closures directly — no `Arc`, no `'static` bounds.
+//! * scoped threads let workers borrow the input slice and the closures
+//!   directly — no `Arc`, no `'static` bounds.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,33 +47,13 @@ fn trace_queue_depth(items: usize, i: usize) {
     }
 }
 
-/// Times one work item and reports it both pool-wide (`par/task`) and
-/// per-worker (`par/worker<w>/task`) so skew between workers is visible.
-/// All cost is behind the armed check: disabled tracing takes no timestamp.
-struct TaskTimer {
-    start: Option<(Instant, usize)>,
-}
-
-impl TaskTimer {
-    fn start(worker: usize) -> Self {
-        Self {
-            start: nv_trace::enabled().then(|| (Instant::now(), worker)),
-        }
-    }
-
-    /// Report a measurement taken elsewhere (isolated items already time
-    /// themselves for `Isolated::elapsed_us`) without double-clocking.
-    fn report(worker: usize, elapsed_ns: u64) {
-        if nv_trace::enabled() {
-            nv_trace::record_span("par/task", elapsed_ns);
-            nv_trace::record_span(&format!("par/worker{worker}/task"), elapsed_ns);
-        }
-    }
-
-    fn finish(self) {
-        if let Some((start, worker)) = self.start {
-            Self::report(worker, start.elapsed().as_nanos() as u64);
-        }
+/// Report one item's time both pool-wide (`par/task`) and per worker
+/// (`par/worker<w>/task`) so skew between workers is visible.
+fn trace_task(worker: usize, elapsed_us: u64) {
+    if nv_trace::enabled() {
+        let ns = elapsed_us.saturating_mul(1_000);
+        nv_trace::record_span("par/task", ns);
+        nv_trace::record_span(&format!("par/worker{worker}/task"), ns);
     }
 }
 
@@ -97,8 +82,12 @@ pub fn available_threads() -> usize {
 ///
 /// `init` runs once per worker to build its private mutable state; `work`
 /// receives that state plus the item's index. With `threads <= 1` (or one
-/// item) everything runs inline on the caller's thread — same code path,
-/// no pool.
+/// item) everything runs inline on the caller's thread.
+///
+/// This is [`map_ordered_isolated`] with the outcomes unwrapped. If an item
+/// panics, its worker rebuilds its state and the remaining items **still
+/// run**; once the pool is done, the first failed item's panic is re-raised
+/// on the caller's thread, naming the item's index and its message.
 pub fn map_ordered<T, R, S, I, F>(items: &[T], threads: usize, init: I, work: F) -> Vec<R>
 where
     T: Sync,
@@ -106,64 +95,12 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    trace_job(items.len(), threads);
-    if threads == 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let timer = TaskTimer::start(0);
-                let r = work(&mut state, i, item);
-                timer.finish();
-                r
-            })
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let tx = tx.clone();
-            let (next, init, work) = (&next, &init, &work);
-            scope.spawn(move || {
-                // Flushing inside the closure (not from the TLS destructor,
-                // which is not ordered before the scoped join) makes the
-                // worker's trace data visible to a report taken right after
-                // this pool returns.
-                let _flush = nv_trace::flush_on_exit();
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    trace_queue_depth(items.len(), i);
-                    let timer = TaskTimer::start(w);
-                    let r = work(&mut state, i, &items[i]);
-                    timer.finish();
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // The workers hold the remaining senders; dropping ours lets `rx`
-        // close once they all finish.
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-    });
-
-    slots
+    map_ordered_isolated(items, threads, init, work)
         .into_iter()
-        .map(|s| s.expect("every index is processed exactly once"))
+        .enumerate()
+        .map(|(i, out)| {
+            out.result.unwrap_or_else(|m| panic!("map_ordered item {i} panicked: {m}"))
+        })
         .collect()
 }
 
@@ -240,8 +177,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run `work` on one item with panic isolation: the panic (if any) is
-/// caught, its worker-private state is assumed poisoned and rebuilt by the
-/// caller, and the item reports `Err(message)` instead of killing the run.
+/// caught and the item reports `Err(message)` instead of killing the run.
 fn run_isolated<T, R, S>(
     state: &mut S,
     i: usize,
@@ -249,18 +185,61 @@ fn run_isolated<T, R, S>(
     work: &(impl Fn(&mut S, usize, &T) -> R + Sync),
 ) -> Isolated<R> {
     let start = Instant::now();
-    CAPTURING.with(|c| c.set(true));
+    // Restore rather than clear: the item may itself run a nested pool.
+    let outer = CAPTURING.with(|c| c.replace(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| work(state, i, item)));
-    CAPTURING.with(|c| c.set(false));
+    CAPTURING.with(|c| c.set(outer));
     Isolated {
         result: outcome.map_err(panic_message),
         elapsed_us: start.elapsed().as_micros() as u64,
     }
 }
 
-/// [`map_ordered`] with per-item panic isolation: a panicking item becomes
-/// `Err(panic message)` in its slot instead of tearing the run down, and
-/// every other item still produces its normal result.
+/// The one worker loop: build the private state, then claim indices from
+/// `next` until the queue is empty, handing each outcome to `emit`. After a
+/// panic the state — which the panic may have left half-updated — is
+/// rebuilt; if `init` panics (at startup or on a rebuild) the worker
+/// retires and the shared queue lets its siblings claim the rest.
+fn drain<T, R, S>(
+    items: &[T],
+    next: &AtomicUsize,
+    worker: usize,
+    init: &(impl Fn() -> S + Sync),
+    work: &(impl Fn(&mut S, usize, &T) -> R + Sync),
+    mut emit: impl FnMut(usize, Isolated<R>),
+) {
+    let Ok(mut state) = catch_unwind(AssertUnwindSafe(init)) else {
+        return;
+    };
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            return;
+        }
+        trace_queue_depth(items.len(), i);
+        let out = run_isolated(&mut state, i, &items[i], work);
+        trace_task(worker, out.elapsed_us);
+        let poisoned = out.result.is_err();
+        emit(i, out);
+        if poisoned {
+            match catch_unwind(AssertUnwindSafe(init)) {
+                Ok(s) => {
+                    state = s;
+                    trace_panic_outcome(true);
+                }
+                Err(_) => {
+                    trace_panic_outcome(false);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The pool itself ([`map_ordered`] unwraps its outcomes), with per-item
+/// panic isolation: a panicking item becomes `Err(panic message)` in its
+/// slot instead of tearing the run down, and every other item still
+/// produces its normal result.
 ///
 /// Fault containment, in order of severity:
 /// * a panic inside `work` is caught per item (`catch_unwind`); the worker
@@ -294,83 +273,39 @@ where
     install_capturing_hook();
     let threads = threads.max(1).min(items.len().max(1));
     trace_job(items.len(), threads);
-    if threads == 1 {
-        let mut state = match catch_unwind(AssertUnwindSafe(&init)) {
-            Ok(s) => Some(s),
-            Err(_) => None,
-        };
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let Some(st) = state.as_mut() else {
-                    return Isolated {
-                        result: Err("worker state initialization panicked".to_string()),
-                        elapsed_us: 0,
-                    };
-                };
-                let out = run_isolated(st, i, item, &work);
-                TaskTimer::report(0, out.elapsed_us.saturating_mul(1_000));
-                if out.result.is_err() {
-                    state = catch_unwind(AssertUnwindSafe(&init)).ok();
-                    trace_panic_outcome(state.is_some());
-                }
-                out
-            })
-            .collect();
-    }
-
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Isolated<R>)>();
     let mut slots: Vec<Option<Isolated<R>>> = Vec::new();
     slots.resize_with(items.len(), || None);
 
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let tx = tx.clone();
-            let (next, init, work) = (&next, &init, &work);
-            scope.spawn(move || {
-                // See map_ordered: flush before the scoped join, on every
-                // exit path including retirement.
-                let _flush = nv_trace::flush_on_exit();
-                let Ok(mut state) = catch_unwind(AssertUnwindSafe(init)) else {
-                    return; // siblings drain the queue
-                };
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    trace_queue_depth(items.len(), i);
-                    let out = run_isolated(&mut state, i, &items[i], work);
-                    TaskTimer::report(w, out.elapsed_us.saturating_mul(1_000));
-                    let poisoned = out.result.is_err();
-                    if tx.send((i, out)).is_err() {
-                        break;
-                    }
-                    if poisoned {
-                        // The panic may have left the state half-updated;
-                        // rebuild it. If rebuilding panics too, this worker
-                        // retires and siblings take over.
-                        match catch_unwind(AssertUnwindSafe(init)) {
-                            Ok(s) => {
-                                state = s;
-                                trace_panic_outcome(true);
-                            }
-                            Err(_) => {
-                                trace_panic_outcome(false);
-                                return;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-    });
+    if threads == 1 {
+        drain(items, &next, 0, &init, &work, |i, out| slots[i] = Some(out));
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, Isolated<R>)>();
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                let tx = tx.clone();
+                let (next, init, work) = (&next, &init, &work);
+                scope.spawn(move || {
+                    // Flushing inside the closure (not from the TLS
+                    // destructor, which is not ordered before the scoped
+                    // join) makes the worker's trace data visible to a
+                    // report taken right after this pool returns — on every
+                    // exit path, retirement included.
+                    let _flush = nv_trace::flush_on_exit();
+                    drain(items, next, w, init, work, |i, out| {
+                        // `rx` outlives every worker, so a send cannot fail.
+                        let _ = tx.send((i, out));
+                    });
+                });
+            }
+            // The workers hold the remaining senders; dropping ours lets
+            // `rx` close once they all finish.
+            drop(tx);
+            for (i, out) in rx {
+                slots[i] = Some(out);
+            }
+        });
+    }
 
     slots
         .into_iter()
@@ -447,6 +382,28 @@ mod tests {
         let items = [0usize, 1, 2, 1];
         let out = map_ordered(&items, 2, || (), |_, _, &i| base[i]);
         assert_eq!(out, vec![10, 20, 30, 20]);
+    }
+
+    #[test]
+    fn map_ordered_reraises_the_first_failed_items_panic() {
+        // Items 3 and 10 panic; the caller sees item 3's message, named, at
+        // any thread count — and every other item still ran first.
+        let items: Vec<u32> = (0..20).collect();
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                map_ordered(&items, threads, || (), |_, _, &x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if x == 3 || x == 10 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            }));
+            let msg = panic_message(caught.expect_err("map_ordered must re-raise"));
+            assert_eq!(msg, "map_ordered item 3 panicked: boom at 3", "threads={threads}");
+            assert_eq!(ran.load(Ordering::Relaxed), items.len(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! through a cache ([`ExecOptions::cache`]) is bit-identical to [`execute`]
 //! — the cache is a pure performance layer. A cache is bound to the first
 //! database it sees; using it with another returns [`ExecError::Internal`].
+//!
+//! All three layers share one memo protocol (the private `Exec::memo`): a
+//! hit replays the fuel and peak rows its cold build charged, so budget
+//! accounting cannot tell warm from cold. WHERE and HAVING share one
+//! predicate walker; only the attribute read differs (a row's cell or a
+//! group's aggregate).
 
 use crate::schema::ColumnType;
 use crate::table::Database;
@@ -273,9 +279,9 @@ impl CacheStats {
 pub struct ExecCache {
     /// Name of the database this cache is bound to (set on first use).
     db_name: Option<String>,
-    scans: HashMap<String, Cached<Arc<ScanData>>>,
-    groups: HashMap<String, Cached<Arc<Vec<GroupEntry>>>>,
-    results: HashMap<String, Cached<Arc<ResultSet>>>,
+    scans: HashMap<String, Cached<ScanData>>,
+    groups: HashMap<String, Cached<Vec<GroupEntry>>>,
+    results: HashMap<String, Cached<ResultSet>>,
     pub stats: CacheStats,
 }
 
@@ -283,7 +289,7 @@ pub struct ExecCache {
 /// hit can [`Meter::replay`] it.
 #[derive(Debug)]
 struct Cached<T> {
-    value: T,
+    value: Arc<T>,
     fuel: u64,
     peak_rows: usize,
 }
@@ -466,7 +472,40 @@ impl Exec<'_> {
         }
     }
 
-    /// Build (or fetch) the joined + WHERE-filtered scan for a body.
+    /// The one cache protocol. With no `key` (no cache), just `build`. With
+    /// a key, a hit counts in `layer`'s stats and [`Meter::replay`]s the
+    /// spend its cold build recorded; a miss counts, builds inside a meter
+    /// section, and stores the value with that section's spend. Keys are
+    /// the canonical debug forms of the memoized fragment.
+    fn memo<T>(
+        &mut self,
+        key: Option<String>,
+        layer: Layer<T>,
+        what: &str,
+        build: impl FnOnce(&mut Self) -> Result<T, ExecError>,
+    ) -> Result<Arc<T>, ExecError> {
+        let Some(key) = key else { return build(self).map(Arc::new) };
+        if let Some(c) = self.cache.as_deref_mut() {
+            let (map, hits, misses) = layer(c);
+            if let Some(hit) = map.get(&key) {
+                *hits += 1;
+                let (value, fuel, peak) = (Arc::clone(&hit.value), hit.fuel, hit.peak_rows);
+                self.meter.replay(fuel, peak, what)?;
+                return Ok(value);
+            }
+            *misses += 1;
+        }
+        let mark = self.meter.begin_section();
+        let value = Arc::new(build(self)?);
+        let (fuel, peak_rows) = self.meter.end_section(mark);
+        if let Some(c) = self.cache.as_deref_mut() {
+            layer(c).0.insert(key, Cached { value: Arc::clone(&value), fuel, peak_rows });
+        }
+        Ok(value)
+    }
+
+    /// Build (or fetch) the joined + WHERE-filtered scan for a body; also
+    /// returns its cache key, which the group layer extends.
     fn scan(
         &mut self,
         db: &Database,
@@ -477,35 +516,23 @@ impl Exec<'_> {
             .cache
             .is_some()
             .then(|| format!("{:?}|{:?}|{:?}", body.from, body.joins, where_p));
-        if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.as_deref()) {
-            if let Some(s) = c.scans.get(k) {
-                c.stats.scan_hits += 1;
-                let (data, fuel, peak) = (Arc::clone(&s.value), s.fuel, s.peak_rows);
-                self.meter.replay(fuel, peak, "table scan")?;
-                return Ok((data, key));
+        let layer: Layer<ScanData> =
+            |c| (&mut c.scans, &mut c.stats.scan_hits, &mut c.stats.scan_misses);
+        let scan = self.memo(key.clone(), layer, "table scan", |e| {
+            let rel = build_from(db, body, &mut e.meter)?;
+            e.meter.charge(rel.rows.len() as u64)?;
+            let mut kept: Vec<Vec<Value>> = Vec::with_capacity(rel.rows.len());
+            for row in rel.rows.iter() {
+                let keep = match where_p {
+                    Some(p) => e.eval_pred(db, p, &|a| row_attr_value(&rel, row, a))?,
+                    None => true,
+                };
+                if keep {
+                    kept.push(row.clone());
+                }
             }
-            c.stats.scan_misses += 1;
-        }
-        let mark = key.is_some().then(|| self.meter.begin_section());
-        let rel = build_from(db, body, &mut self.meter)?;
-        self.meter.charge(rel.rows.len() as u64)?;
-        let mut kept: Vec<Vec<Value>> = Vec::with_capacity(rel.rows.len());
-        for row in rel.rows.iter() {
-            let keep = match where_p {
-                Some(p) => self.eval_pred_row(db, &rel, row, p)?,
-                None => true,
-            };
-            if keep {
-                kept.push(row.clone());
-            }
-        }
-        let scan = Arc::new(ScanData { cols: rel.cols, types: rel.types, rows: kept });
-        if let Some(mark) = mark {
-            let (fuel, peak_rows) = self.meter.end_section(mark);
-            if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.clone()) {
-                c.scans.insert(k, Cached { value: Arc::clone(&scan), fuel, peak_rows });
-            }
-        }
+            Ok(ScanData { cols: rel.cols, types: rel.types, rows: kept })
+        })?;
         Ok((scan, key))
     }
 
@@ -513,81 +540,18 @@ impl Exec<'_> {
     /// and bin spec.
     fn groups(
         &mut self,
-        scan: &Arc<ScanData>,
+        scan: &ScanData,
         scan_key: Option<&str>,
         key_cols: &[ColumnRef],
         bin: &Option<BinSpec>,
     ) -> Result<Arc<Vec<GroupEntry>>, ExecError> {
-        let key = match (self.cache.is_some(), scan_key) {
-            (true, Some(sk)) => Some(format!("{sk}#{key_cols:?}|{bin:?}")),
-            _ => None,
-        };
-        if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.as_deref()) {
-            if let Some(g) = c.groups.get(k) {
-                c.stats.group_hits += 1;
-                let (entries, fuel, peak) = (Arc::clone(&g.value), g.fuel, g.peak_rows);
-                self.meter.replay(fuel, peak, "group partition")?;
-                return Ok(entries);
-            }
-            c.stats.group_misses += 1;
-        }
-        let mark = key.is_some().then(|| self.meter.begin_section());
-        self.meter.charge(scan.rows.len() as u64)?;
-
-        let key_idx: Vec<usize> = key_cols
-            .iter()
-            .map(|c| col_idx(&scan.cols, c))
-            .collect::<Result<_, _>>()?;
-        let bin_info: Option<(usize, BinUnit, Option<NumericBins>)> = match bin {
-            Some(b) => {
-                let i = col_idx(&scan.cols, &b.col)?;
-                let numeric = match b.unit {
-                    BinUnit::Numeric { n_bins } => Some(NumericBins::from_values(
-                        scan.rows.iter().filter_map(|r| r[i].as_f64()),
-                        n_bins,
-                    )),
-                    _ => None,
-                };
-                Some((i, b.unit, numeric))
-            }
-            None => None,
-        };
-
-        // Group row indices by (bin ordinal, key values); each group keeps
-        // its bin label.
-        type GroupKey = (i64, Vec<Value>);
-        let mut map: HashMap<GroupKey, (Value, Vec<usize>)> = HashMap::new();
-        for (ri, row) in scan.rows.iter().enumerate() {
-            let (ord, label) = match &bin_info {
-                Some((i, unit, nb)) => bin_value(&row[*i], *unit, nb.as_ref()),
-                None => (0, Value::Null),
-            };
-            let kv: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-            map.entry((ord, kv))
-                .or_insert_with(|| (label, Vec::new()))
-                .1
-                .push(ri);
-        }
-        // SQL semantics: a global aggregate (no grouping keys) over empty
-        // input still yields one row (COUNT(*) = 0, SUM/AVG = NULL).
-        if map.is_empty() && key_idx.is_empty() && bin_info.is_none() {
-            map.insert((0, vec![]), (Value::Null, vec![]));
-        }
-        let mut raw: Vec<(GroupKey, (Value, Vec<usize>))> = map.into_iter().collect();
-        raw.sort_by(|a, b| a.0 .0.cmp(&b.0 .0).then_with(|| cmp_rows(&a.0 .1, &b.0 .1)));
-        let entries: Vec<GroupEntry> = raw
-            .into_iter()
-            .map(|((_ord, key), (label, rows))| GroupEntry { key, label, rows })
-            .collect();
-
-        let entries = Arc::new(entries);
-        if let Some(mark) = mark {
-            let (fuel, peak_rows) = self.meter.end_section(mark);
-            if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key) {
-                c.groups.insert(k, Cached { value: Arc::clone(&entries), fuel, peak_rows });
-            }
-        }
-        Ok(entries)
+        let key = scan_key.map(|sk| format!("{sk}#{key_cols:?}|{bin:?}"));
+        let layer: Layer<Vec<GroupEntry>> =
+            |c| (&mut c.groups, &mut c.stats.group_hits, &mut c.stats.group_misses);
+        self.memo(key, layer, "group partition", |e| {
+            e.meter.charge(scan.rows.len() as u64)?;
+            group_rows(scan, key_cols, bin)
+        })
     }
 
     fn body(&mut self, db: &Database, body: &QueryBody) -> Result<ResultSet, ExecError> {
@@ -636,7 +600,8 @@ impl Exec<'_> {
             let bin_col = bin.as_ref().map(|b| b.col.clone());
             for entry in entries.iter() {
                 if let Some(h) = &having_p {
-                    if !self.eval_having(db, &scan, &entry.rows, h)? {
+                    let value_of = |a: &Attr| group_attr_value(&scan, &entry.rows, a);
+                    if !self.eval_pred(db, h, &value_of)? {
                         continue;
                     }
                 }
@@ -743,51 +708,38 @@ impl Exec<'_> {
     }
 
     fn subquery_values(&mut self, db: &Database, q: &SetQuery) -> Result<Vec<Value>, ExecError> {
-        let first_col = |rs: &ResultSet| -> Vec<Value> {
-            rs.rows.iter().filter_map(|r| r.first().cloned()).collect()
-        };
-        if self.cache.is_none() {
-            return Ok(first_col(&self.set(db, q)?));
-        }
-        let key = format!("{q:?}");
-        if let Some(c) = self.cache.as_deref_mut() {
-            if let Some(rs) = c.results.get(&key) {
-                c.stats.result_hits += 1;
-                let (rs, fuel, peak) = (Arc::clone(&rs.value), rs.fuel, rs.peak_rows);
-                self.meter.replay(fuel, peak, "subquery")?;
-                return Ok(first_col(&rs));
-            }
-            c.stats.result_misses += 1;
-        }
-        let mark = self.meter.begin_section();
-        let rs = Arc::new(self.set(db, q)?);
-        let (fuel, peak_rows) = self.meter.end_section(mark);
-        if let Some(c) = self.cache.as_deref_mut() {
-            c.results.insert(key, Cached { value: Arc::clone(&rs), fuel, peak_rows });
-        }
-        Ok(first_col(&rs))
+        let key = self.cache.is_some().then(|| format!("{q:?}"));
+        let layer: Layer<ResultSet> =
+            |c| (&mut c.results, &mut c.stats.result_hits, &mut c.stats.result_misses);
+        let rs = self.memo(key, layer, "subquery", |e| e.set(db, q))?;
+        Ok(rs.rows.iter().filter_map(|r| r.first().cloned()).collect())
     }
 
-    fn eval_pred_row(
+    /// Evaluate a WHERE or HAVING predicate; `value_of` reads an attribute
+    /// (a row's cell for WHERE, a group aggregate for HAVING). And/Or
+    /// short-circuit left to right, so operand subqueries — and their fuel —
+    /// run in a fixed order.
+    fn eval_pred<F: Fn(&Attr) -> Result<Value, ExecError>>(
         &mut self,
         db: &Database,
-        rel: &Relation<'_>,
-        row: &[Value],
         p: &Predicate,
+        value_of: &F,
     ) -> Result<bool, ExecError> {
         match p {
-            Predicate::And(l, r) => Ok(self.eval_pred_row(db, rel, row, l)?
-                && self.eval_pred_row(db, rel, row, r)?),
-            Predicate::Or(l, r) => Ok(self.eval_pred_row(db, rel, row, l)?
-                || self.eval_pred_row(db, rel, row, r)?),
+            Predicate::And(l, r) => {
+                Ok(self.eval_pred(db, l, value_of)? && self.eval_pred(db, r, value_of)?)
+            }
+            Predicate::Or(l, r) => {
+                Ok(self.eval_pred(db, l, value_of)? || self.eval_pred(db, r, value_of)?)
+            }
             Predicate::Cmp { op, attr, rhs } => {
-                let v = row_attr_value(rel, row, attr)?;
+                let v = value_of(attr)?;
                 let rv = self.operand_values(db, rhs)?;
                 let Some(first) = rv.first() else { return Ok(false) };
                 Ok(cmp_values(&v, first, *op))
             }
             Predicate::Between { attr, low, high } => {
-                let v = row_attr_value(rel, row, attr)?;
+                let v = value_of(attr)?;
                 let lo = self.operand_values(db, low)?;
                 let hi = self.operand_values(db, high)?;
                 match (lo.first(), hi.first()) {
@@ -798,60 +750,11 @@ impl Exec<'_> {
                 }
             }
             Predicate::Like { attr, pattern, negated } => {
-                let v = row_attr_value(rel, row, attr)?;
-                if v.is_null() {
-                    return Ok(false);
-                }
-                let m = v.like(pattern);
-                Ok(m != *negated)
-            }
-            Predicate::In { attr, rhs, negated } => {
-                let v = row_attr_value(rel, row, attr)?;
-                if v.is_null() {
-                    return Ok(false);
-                }
-                let vals = self.operand_values(db, rhs)?;
-                let m = vals.iter().any(|x| v.sql_eq(x));
-                Ok(m != *negated)
-            }
-        }
-    }
-
-    fn eval_having(
-        &mut self,
-        db: &Database,
-        scan: &ScanData,
-        idxs: &[usize],
-        p: &Predicate,
-    ) -> Result<bool, ExecError> {
-        match p {
-            Predicate::And(l, r) => Ok(self.eval_having(db, scan, idxs, l)?
-                && self.eval_having(db, scan, idxs, r)?),
-            Predicate::Or(l, r) => Ok(self.eval_having(db, scan, idxs, l)?
-                || self.eval_having(db, scan, idxs, r)?),
-            Predicate::Cmp { op, attr, rhs } => {
-                let v = group_attr_value(scan, idxs, attr)?;
-                let rv = self.operand_values(db, rhs)?;
-                let Some(first) = rv.first() else { return Ok(false) };
-                Ok(cmp_values(&v, first, *op))
-            }
-            Predicate::Between { attr, low, high } => {
-                let v = group_attr_value(scan, idxs, attr)?;
-                let lo = self.operand_values(db, low)?;
-                let hi = self.operand_values(db, high)?;
-                match (lo.first(), hi.first()) {
-                    (Some(lo), Some(hi)) => {
-                        Ok(cmp_values(&v, lo, CmpOp::Ge) && cmp_values(&v, hi, CmpOp::Le))
-                    }
-                    _ => Ok(false),
-                }
-            }
-            Predicate::Like { attr, pattern, negated } => {
-                let v = group_attr_value(scan, idxs, attr)?;
+                let v = value_of(attr)?;
                 Ok(!v.is_null() && (v.like(pattern) != *negated))
             }
             Predicate::In { attr, rhs, negated } => {
-                let v = group_attr_value(scan, idxs, attr)?;
+                let v = value_of(attr)?;
                 if v.is_null() {
                     return Ok(false);
                 }
@@ -860,6 +763,64 @@ impl Exec<'_> {
             }
         }
     }
+}
+
+/// One [`ExecCache`] layer, as [`Exec::memo`] sees it: its map plus its
+/// hit and miss counters.
+type Layer<T> = fn(&mut ExecCache) -> (&mut HashMap<String, Cached<T>>, &mut u64, &mut u64);
+
+/// Partition a scan's row indices into groups keyed by `key_cols` and the
+/// optional bin, sorted by (bin ordinal, key values).
+fn group_rows(
+    scan: &ScanData,
+    key_cols: &[ColumnRef],
+    bin: &Option<BinSpec>,
+) -> Result<Vec<GroupEntry>, ExecError> {
+    let key_idx: Vec<usize> = key_cols
+        .iter()
+        .map(|c| col_idx(&scan.cols, c))
+        .collect::<Result<_, _>>()?;
+    let bin_info: Option<(usize, BinUnit, Option<NumericBins>)> = match bin {
+        Some(b) => {
+            let i = col_idx(&scan.cols, &b.col)?;
+            let numeric = match b.unit {
+                BinUnit::Numeric { n_bins } => Some(NumericBins::from_values(
+                    scan.rows.iter().filter_map(|r| r[i].as_f64()),
+                    n_bins,
+                )),
+                _ => None,
+            };
+            Some((i, b.unit, numeric))
+        }
+        None => None,
+    };
+
+    // Group row indices by (bin ordinal, key values); each group keeps its
+    // bin label.
+    type GroupKey = (i64, Vec<Value>);
+    let mut map: HashMap<GroupKey, (Value, Vec<usize>)> = HashMap::new();
+    for (ri, row) in scan.rows.iter().enumerate() {
+        let (ord, label) = match &bin_info {
+            Some((i, unit, nb)) => bin_value(&row[*i], *unit, nb.as_ref()),
+            None => (0, Value::Null),
+        };
+        let kv: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
+        map.entry((ord, kv))
+            .or_insert_with(|| (label, Vec::new()))
+            .1
+            .push(ri);
+    }
+    // SQL semantics: a global aggregate (no grouping keys) over empty input
+    // still yields one row (COUNT(*) = 0, SUM/AVG = NULL).
+    if map.is_empty() && key_idx.is_empty() && bin_info.is_none() {
+        map.insert((0, vec![]), (Value::Null, vec![]));
+    }
+    let mut raw: Vec<(GroupKey, (Value, Vec<usize>))> = map.into_iter().collect();
+    raw.sort_by(|a, b| a.0 .0.cmp(&b.0 .0).then_with(|| cmp_rows(&a.0 .1, &b.0 .1)));
+    Ok(raw
+        .into_iter()
+        .map(|((_ord, key), (label, rows))| GroupEntry { key, label, rows })
+        .collect())
 }
 
 fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
@@ -915,12 +876,6 @@ fn col_idx(cols: &[String], c: &ColumnRef) -> Result<usize, ExecError> {
     match matches.as_slice() {
         [one] => Ok(*one),
         _ => Err(ExecError::UnknownColumn(c.to_token())),
-    }
-}
-
-impl Relation<'_> {
-    fn col_idx(&self, c: &ColumnRef) -> Result<usize, ExecError> {
-        col_idx(&self.cols, c)
     }
 }
 
@@ -1016,8 +971,8 @@ fn hash_join<'a>(
     rkey: &ColumnRef,
     meter: &mut Meter,
 ) -> Result<Relation<'a>, ExecError> {
-    let li = l.col_idx(lkey)?;
-    let ri = r.col_idx(rkey)?;
+    let li = col_idx(&l.cols, lkey)?;
+    let ri = col_idx(&r.cols, rkey)?;
     meter.charge((l.rows.len() + r.rows.len()) as u64)?;
     let mut index: HashMap<&Value, Vec<usize>> = HashMap::new();
     for (i, row) in r.rows.iter().enumerate() {
@@ -1102,7 +1057,7 @@ fn row_attr_value(rel: &Relation<'_>, row: &[Value], attr: &Attr) -> Result<Valu
             "aggregate in row-level predicate (belongs to HAVING)".into(),
         ));
     }
-    let i = rel.col_idx(&attr.col)?;
+    let i = col_idx(&rel.cols, &attr.col)?;
     Ok(row[i].clone())
 }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The repo's CI gate, runnable locally. Stages:
 #
-#   scripts/ci.sh                  # everything (build, tests, faults,
-#                                  # warnings, doc, differential, golden,
-#                                  # trace, gradcheck, nvperf)
+#   scripts/ci.sh                  # everything (build, tests, vendor,
+#                                  # faults, warnings, doc, differential,
+#                                  # golden, trace, gradcheck, nvperf)
+#   scripts/ci.sh vendor           # the vendored crates' own unit tests
+#                                  # (vendor/ is outside the workspace)
 #   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
 #                                  # private intra-doc links fail)
 #   scripts/ci.sh differential     # 5,000-case differential-oracle batch
@@ -24,6 +26,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
+
+run_vendor() {
+  echo "=== vendored crates: their own unit tests ==="
+  for crate in proptest rand serde serde_json; do
+    cargo test --offline -q --manifest-path "vendor/$crate/Cargo.toml" --target-dir target
+  done
+}
 
 run_doc() {
   echo "=== rustdoc: whole workspace, warnings are errors ==="
@@ -64,6 +73,10 @@ run_nvperf() {
 }
 
 case "$stage" in
+  vendor)
+    run_vendor
+    exit 0
+    ;;
   doc)
     run_doc
     exit 0
@@ -90,39 +103,42 @@ case "$stage" in
     ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|doc|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
+    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/10] cargo build --release ==="
+echo "=== [1/11] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/10] cargo test -q (every workspace crate) ==="
+echo "=== [2/11] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/10] fault-injection harness ==="
+echo "=== [3/11] vendored crates' unit tests ==="
+run_vendor
+
+echo "=== [4/11] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [4/10] warnings-clean (whole workspace, all targets) ==="
+echo "=== [5/11] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [5/10] warnings-clean rustdoc ==="
+echo "=== [6/11] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [6/10] differential oracle ==="
+echo "=== [7/11] differential oracle ==="
 run_differential
 
-echo "=== [7/10] golden snapshots ==="
+echo "=== [8/11] golden snapshots ==="
 run_golden
 
-echo "=== [8/10] trace observability gate ==="
+echo "=== [9/11] trace observability gate ==="
 run_trace
 
-echo "=== [9/10] training-kernel gradcheck + determinism gate ==="
+echo "=== [10/11] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [10/10] benchmark harness (nvperf) ==="
+echo "=== [11/11] benchmark harness (nvperf) ==="
 run_nvperf
 
 echo "=== CI green ==="

@@ -173,3 +173,81 @@ fn numeric_bin_top_edge_is_inclusive() {
     let oracle = nv_oracle::oracle_execute(&db, &q).unwrap();
     assert!(rs.multiset_eq(&oracle), "engine and oracle disagree on the edge bin");
 }
+
+/// HAVING runs through the same predicate walker as WHERE, with group
+/// aggregates as the attribute values. Every predicate form must filter
+/// groups identically with no cache, a cold cache and a warm cache, and agree
+/// with the reference interpreter. Groups by `t.cat`: `a` (q 10, null),
+/// `NULL` (q 30) and `b` (q 40, 50).
+#[test]
+fn having_supports_every_predicate_form() {
+    use nvbench::data::{execute_with, ExecCache, ExecOptions};
+    let null = Value::Null;
+    let (a, b) = (Value::text("a"), Value::text("b"));
+    let int = Value::Int;
+    let cases: Vec<(&str, Vec<Vec<Value>>)> = vec![
+        (
+            "select t.cat , sum ( t.q ) from t \
+             where sum ( t.q ) between 20 and 100 group by t.cat",
+            vec![vec![null.clone(), int(30)], vec![b.clone(), int(90)]],
+        ),
+        (
+            "select t.cat , count ( t.* ) from t where count ( t.* ) in ( 1 , 3 ) group by t.cat",
+            vec![vec![null.clone(), int(1)]],
+        ),
+        (
+            "select t.cat , count ( t.* ) from t \
+             where count ( t.* ) not in ( 1 , 3 ) group by t.cat",
+            vec![vec![a.clone(), int(2)], vec![b.clone(), int(2)]],
+        ),
+        (
+            "select t.cat , sum ( t.q ) from t \
+             where sum ( t.q ) > ( select avg ( t.q ) from t ) group by t.cat",
+            vec![vec![b.clone(), int(90)]],
+        ),
+        (
+            "select t.cat , max ( t.q ) from t \
+             where max ( t.q ) in ( select t.q from t where t.q > 20 ) group by t.cat",
+            vec![vec![null.clone(), int(30)], vec![b.clone(), int(50)]],
+        ),
+        (
+            "select t.cat , count ( t.* ) from t where max ( t.cat ) like 'a%' group by t.cat",
+            vec![vec![a.clone(), int(2)]],
+        ),
+        (
+            // The NULL group's max(cat) is NULL: it matches neither form.
+            "select t.cat , count ( t.* ) from t where max ( t.cat ) not like 'a%' group by t.cat",
+            vec![vec![b.clone(), int(2)]],
+        ),
+        (
+            "select t.cat , sum ( t.q ) from t \
+             where ( count ( t.* ) = 1 or sum ( t.q ) > 50 ) group by t.cat",
+            vec![vec![null.clone(), int(30)], vec![b.clone(), int(90)]],
+        ),
+    ];
+    let sorted = |rows: &[Vec<Value>]| {
+        let mut r: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+        r.sort();
+        r
+    };
+    let db = db();
+    for (vql, want) in cases {
+        let q = parse_vql_str(vql).unwrap_or_else(|e| panic!("{vql}: {e}"));
+        let oracle = nv_oracle::oracle_execute(&db, &q).unwrap();
+        assert_eq!(sorted(&oracle.rows), sorted(&want), "oracle: {vql}");
+        let plain = execute_with(&db, &q, ExecOptions::default()).unwrap();
+        let mut cache = ExecCache::new();
+        let mut cached = || {
+            execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), ..Default::default() })
+                .unwrap()
+        };
+        let (cold, warm) = (cached(), cached());
+        for (how, (rs, spend)) in [("plain", plain.clone()), ("cold", cold), ("warm", warm)] {
+            assert!(rs.multiset_eq(&oracle), "{how} disagrees with the oracle: {vql}\n{rs:?}");
+            assert_eq!(spend, plain.1, "{how} budget spend: {vql}");
+        }
+        if vql.contains("( select") {
+            assert!(cache.stats.result_hits > 0, "subquery result was not memoized: {vql}");
+        }
+    }
+}
