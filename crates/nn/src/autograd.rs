@@ -947,6 +947,9 @@ fn entry<'a>(gs: &'a mut GradSet, store: &ParamStore, id: usize) -> &'a mut Matr
 /// Each element performs the single `+= g_i·x_j` addition the unfused path
 /// performs after materializing the product, so the bits match.
 fn rank1_acc(m: &mut Matrix, g: &Matrix, x: &Matrix) {
+    if nv_trace::enabled() {
+        nv_trace::count("nn.rank1.flops", 2 * (m.rows * m.cols) as u64);
+    }
     let cols = m.cols;
     for i in 0..m.rows {
         let gi = g.data[i];

@@ -7,24 +7,30 @@
 //! split accumulation (`acc[0..4]` over chunks of 4, lanes summed
 //! `0+1+2+3`, then a sequential tail). This is the crate's **canonical
 //! reduction order**. The blocked kernels change *memory access* — packed
-//! transposed panels, register tiles — but never the per-element summation
-//! order, so they are **bit-identical** to the straightforward reference
-//! kernels in [`reference`](mod@reference), which reduce with the same `dot` over
-//! explicitly gathered rows. `tests/train_determinism.rs` holds whole
-//! training runs to this equality, and the unit tests below hold every
-//! kernel to it shape-by-shape.
+//! transposed panels, register tiles, row-streamed lanes — but never the
+//! per-element summation order, so they are **bit-identical** to the
+//! straightforward reference kernels in [`reference`](mod@reference), which
+//! reduce with the same `dot` over explicitly gathered rows.
+//! `tests/train_determinism.rs` holds whole training runs to this
+//! equality, and the unit tests below hold every kernel to it
+//! shape-by-shape.
 //!
 //! ## Kernel shapes that matter
 //!
 //! Training and decoding are matvec-dominated (column-vector activations),
 //! so `matmul` and `matvec_acc` share a contiguous matvec path that reduces
 //! four weight rows at a time (`dot4`: four independent accumulator
-//! chains, each in [`dot`]'s exact order); the general kernels pack the
-//! transposed operand once per call (thread-local scratch, no per-call
-//! allocation) and walk register tiles over contiguous panel rows — the
-//! layout the compiler can autovectorize. `*_into` variants write into a
-//! caller-provided matrix so the autograd tape can recycle buffers instead
-//! of allocating per op.
+//! chains, each in [`dot`]'s exact order). Backward's `Wᵀ·g` matvec
+//! (`matmul_tn` with one column) streams `W` row by row instead of walking
+//! its columns: each output keeps [`dot`]'s four lanes as separate
+//! accumulator vectors, so the inner loop runs along a contiguous row
+//! while each output still sees `dot`'s exact summation order. The general
+//! kernels pack the transposed operand once per call and walk register
+//! tiles over contiguous panel rows — the layout the compiler can
+//! autovectorize. Packed panels and the `Wᵀ·g` lanes live in one
+//! thread-local scratch, so no kernel allocates per call. `*_into`
+//! variants write into a caller-provided matrix so the autograd tape can
+//! recycle buffers instead of allocating per op.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -105,33 +111,51 @@ fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f3
     }
 }
 
-/// [`dot`] against a strided left operand: element `j` of the virtual
-/// vector is `a[offset + j·stride]`. The lane assignment and summation
-/// order replicate [`dot`] exactly, so a kernel may use this on a
-/// transposed column *in place* and stay bit-identical to one that gathers
-/// the column first — this is what lets `matmul_tn`'s matvec path skip the
-/// O(m·k) pack (which costs as much as the matvec itself).
+/// The transposed matvec `out = wᵀ·g` for a row-major `w` of `g.len()`
+/// rows and `out.len()` columns, streaming `w` row by row. Output `i` is
+/// [`dot`]`(column_i, g)` with `dot`'s exact lane assignment and summation
+/// order, computed for every `i` at once: row `r` of each full block of
+/// four adds `w[r][i]·g[r]` into lane `r mod 4` (`out` is lane 0,
+/// `lanes` holds lanes 1–3), the lanes are summed `((0+1)+2)+3`, and the
+/// tail rows are added in order. So the result is bit-identical to
+/// gathering each column and calling `dot`, but every load of `w` is
+/// contiguous and the inner loops run along a row, where they vectorize.
 #[inline]
-fn dot_strided(a: &[f32], offset: usize, stride: usize, len: usize, b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let chunks = len / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += a[offset + i * stride] * b[i];
-        acc[1] += a[offset + (i + 1) * stride] * b[i + 1];
-        acc[2] += a[offset + (i + 2) * stride] * b[i + 2];
-        acc[3] += a[offset + (i + 3) * stride] * b[i + 3];
+fn matvec_tn_rows(w: &[f32], g: &[f32], out: &mut [f32], lanes: &mut Vec<f32>) {
+    let m = out.len();
+    let full = g.len() / 4 * 4;
+    lanes.clear();
+    lanes.resize(3 * m, 0.0);
+    let (l1, rest) = lanes.split_at_mut(m);
+    let (l2, l3) = rest.split_at_mut(m);
+    let (l0, l1, l2, l3) = (&mut out[..m], &mut l1[..m], &mut l2[..m], &mut l3[..m]);
+    l0.fill(0.0);
+    for c in 0..full / 4 {
+        let (rows, g) = (&w[4 * c * m..4 * (c + 1) * m], &g[4 * c..4 * c + 4]);
+        let (w0, w1) = (&rows[..m], &rows[m..2 * m]);
+        let (w2, w3) = (&rows[2 * m..3 * m], &rows[3 * m..4 * m]);
+        for i in 0..m {
+            l0[i] += w0[i] * g[0];
+            l1[i] += w1[i] * g[1];
+            l2[i] += w2[i] * g[2];
+            l3[i] += w3[i] * g[3];
+        }
     }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..len {
-        s += a[offset + i * stride] * b[i];
+    for i in 0..m {
+        l0[i] = l0[i] + l1[i] + l2[i] + l3[i];
     }
-    s
+    for r in full..g.len() {
+        let (row, gr) = (&w[r * m..(r + 1) * m], g[r]);
+        for (o, &wv) in l0.iter_mut().zip(row) {
+            *o += wv * gr;
+        }
+    }
 }
 
 thread_local! {
-    /// Per-thread packing scratch for the blocked kernels (transposed
-    /// panels live here between the pack and the tile sweep).
+    /// Per-thread scratch for the blocked kernels: transposed panels live
+    /// here between the pack and the tile sweep, and the `Wᵀ·g` matvec
+    /// keeps its lanes 1–3 here.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -235,10 +259,10 @@ impl Matrix {
     }
 
     /// `selfᵀ × other` into a pre-shaped output (fully overwritten) — the
-    /// `Wᵀ g` backprop kernel. The matvec case reads `selfᵀ`'s rows in
-    /// place with `dot_strided` (packing would cost as much as the
-    /// matvec); the general case packs both transposes so every inner loop
-    /// is a contiguous [`dot`].
+    /// `Wᵀ g` backprop kernel. The matvec case streams `self` row by row
+    /// through `matvec_tn_rows` (four lane accumulators per output in the
+    /// thread-local scratch, no transpose); the general case packs both
+    /// transposes so every inner loop is a contiguous [`dot`].
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape");
         debug_assert!(out.rows == self.cols && out.cols == other.cols);
@@ -246,14 +270,12 @@ impl Matrix {
         let k = self.rows; // shared dimension
         let m = self.cols;
         let n = other.cols;
-        if n == 1 {
-            for i in 0..m {
-                out.data[i] = dot_strided(&self.data, i, m, k, &other.data);
-            }
-            return;
-        }
         PACK.with(|p| {
             let mut p = p.borrow_mut();
+            if n == 1 {
+                matvec_tn_rows(&self.data, &other.data, &mut out.data[..m], &mut p);
+                return;
+            }
             pack_transposed(self, &mut p);
             // Pack otherᵀ behind selfᵀ in the same scratch.
             let split = m * k;
@@ -597,6 +619,53 @@ mod tests {
         let mut out = Matrix::from_vec(6, 6, vec![f32::NAN; 36]);
         a.matmul_nt_into(&a, &mut out);
         assert_eq!(out.data, a.matmul_nt(&a).data);
+        // The row-streamed `Wᵀg` matvec uses its output as lane 0.
+        let g = rand_mat(6, 1, &mut rng);
+        let mut out = Matrix::from_vec(5, 1, vec![f32::NAN; 5]);
+        a.matmul_tn_into(&g, &mut out);
+        assert_eq!(bits(&out), bits(&reference::matmul_tn(&a, &g)));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Outputs narrower than a vector and shared dimensions below, at and
+    /// just past one four-row block (so a lone tail row, no full block, and
+    /// a full block plus a tail all occur).
+    #[test]
+    fn transposed_matvec_small_shapes_match_reference() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for m in [1, 2, 3] {
+            for k in [1, 2, 3, 5] {
+                let w = rand_mat(k, m, &mut rng);
+                let g = rand_mat(k, 1, &mut rng);
+                let fast = w.matmul_tn(&g);
+                assert_eq!((fast.rows, fast.cols), (m, 1));
+                assert_eq!(bits(&fast), bits(&reference::matmul_tn(&w, &g)), "{k}x{m}");
+            }
+        }
+    }
+
+    /// The lanes share the thread-local `PACK` scratch with the GEMM
+    /// paths: packed panels left behind by an `n > 1` call, or lanes of a
+    /// different size, must never leak into a later transposed matvec.
+    #[test]
+    fn transposed_matvec_reuses_pack_scratch_exactly() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let big = (rand_mat(37, 29, &mut rng), rand_mat(37, 1, &mut rng));
+        let small = (rand_mat(7, 3, &mut rng), rand_mat(7, 1, &mut rng));
+        let (a, b) = (rand_mat(12, 10, &mut rng), rand_mat(10, 9, &mut rng));
+        let c = rand_mat(12, 9, &mut rng);
+        let matvec = |(w, g): &(Matrix, Matrix)| {
+            assert_eq!(bits(&w.matmul_tn(g)), bits(&reference::matmul_tn(w, g)));
+        };
+        matvec(&big);
+        assert_eq!(bits(&a.matmul(&b)), bits(&reference::matmul(&a, &b)));
+        assert_eq!(bits(&a.matmul_tn(&c)), bits(&reference::matmul_tn(&a, &c)));
+        matvec(&small);
+        assert_eq!(bits(&a.matmul_tn(&c)), bits(&reference::matmul_tn(&a, &c)));
+        matvec(&big);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::autograd::{GradSet, KernelPolicy, ParamId, ParamStore, Tape, T};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Model variants evaluated in the paper (Figure 17, Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -428,7 +429,9 @@ impl Seq2Seq {
     /// queue (each worker reuses one pooled tape); per-sample gradients
     /// come back in input order and merge through a fixed pairwise tree, so
     /// the result is bit-identical for any thread count. Returns the mean
-    /// per-token loss.
+    /// per-token loss. A traced run records one `nn.step` span per batch,
+    /// with `nn.forward`/`nn.backward` children per sample and one
+    /// `nn.optim` child for the merge, clip and Adam update.
     pub fn train_epoch(&mut self, samples: &[Sample]) -> f32 {
         let mut total = 0.0f64;
         let mut count = 0usize;
@@ -447,9 +450,12 @@ impl Seq2Seq {
                     if nv_trace::enabled() {
                         nv_trace::count("nn.train.samples", 1);
                     }
-                    let loss = model.forward_loss(tape, sample);
-                    let v = tape.value(&model.store, loss).data[0];
-                    (tape.backward(&model.store, loss), v)
+                    let (loss, v) = step_phase("nn.step/nn.forward", || {
+                        let loss = model.forward_loss(tape, sample);
+                        (loss, tape.value(&model.store, loss).data[0])
+                    });
+                    let backward = || tape.backward(&model.store, loss);
+                    (step_phase("nn.step/nn.backward", backward), v)
                 },
             );
             let mut grad_sets = Vec::with_capacity(results.len());
@@ -458,6 +464,7 @@ impl Seq2Seq {
                 total += f64::from(v);
                 count += 1;
             }
+            let _optim = nv_trace::span("nn.optim");
             if let Some(merged) = nv_core::par::tree_reduce(grad_sets, |mut a, b| {
                 a.merge(b);
                 a
@@ -601,6 +608,19 @@ impl Seq2Seq {
         }
         out
     }
+}
+
+/// Run one phase of a training step and record it under the child span
+/// `path` of `nn.step`. Samples run on pool workers, whose span stacks do
+/// not hold the caller's `nn.step`, so the path is given in full.
+fn step_phase<R>(path: &str, phase: impl FnOnce() -> R) -> R {
+    if !nv_trace::enabled() {
+        return phase();
+    }
+    let start = Instant::now();
+    let out = phase();
+    nv_trace::record_span(path, start.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Training report from [`fit`].

@@ -12,8 +12,9 @@
 #   scripts/ci.sh golden           # verify golden corpus snapshots
 #   scripts/ci.sh golden --bless   # regenerate snapshots, then re-verify
 #   scripts/ci.sh trace            # traced synthesis + report schema gate
-#   scripts/ci.sh gradcheck        # nv-nn gradient checks + cross-thread
-#                                  # training determinism
+#   scripts/ci.sh gradcheck        # nv-nn gradient checks, cross-thread
+#                                  # training determinism, and nv-nn's own
+#                                  # tests under the release codegen
 #   scripts/ci.sh nvperf           # benchmark-harness tests, including a
 #                                  # tiny checked smoke run of every workload
 #
@@ -65,6 +66,8 @@ run_gradcheck() {
   cargo test --release -q --test grad_check
   echo "=== nv-nn: bit-identical training across 1/2/4 threads + kernel policies ==="
   cargo test --release -q --test train_determinism
+  echo "=== nv-nn: kernel bit-identity and unit tests under the release codegen ==="
+  cargo test --release -q -p nv-nn
 }
 
 run_nvperf() {
