@@ -5,10 +5,12 @@
 //!
 //! A tape runs under a [`KernelPolicy`]:
 //!
-//! * **`Fast`** — the training path: blocked matmul kernels, fused ops
-//!   ([`Tape::affine`], [`Tape::affine2`], [`Tape::lstm_gates`],
-//!   [`Tape::copy_scatter`]), weight gradients accumulated straight into a
-//!   dense [`GradSet`] as rank-1 updates (no per-op gradient matrices), and
+//! * **`Fast`** — the training path: the matvec kernels of `matrix.rs`,
+//!   fused ops (one affine node `w·x [+ w2·x2] [+ b]` behind
+//!   [`Tape::affine`], [`Tape::affine2`] and [`Tape::linear`], plus
+//!   [`Tape::lstm_gates`] and [`Tape::copy_scatter`]), weight gradients
+//!   accumulated straight into a dense [`GradSet`] as rank-1 updates
+//!   ([`Matrix::rank1_acc`], no per-op gradient matrices), and
 //!   a buffer pool that recycles every value/gradient buffer across
 //!   [`Tape::reset`] calls — the per-step allocation killer.
 //! * **`NaiveOracle`** — the differential twin, mirroring the pre-rewrite
@@ -20,7 +22,7 @@
 //! The contract: **both policies produce bit-identical losses and
 //! gradients.** The fused forward/backward replicate the unfused op
 //! composition's floating-point expression order exactly (see the comments
-//! on each fused backward arm), and the blocked kernels share the canonical
+//! on each fused backward arm), and the fast kernels share the canonical
 //! fixed-order reduction with the reference kernels (`matrix.rs`).
 //! `tests/train_determinism.rs` pins whole training runs to this equality.
 //!
@@ -197,13 +199,10 @@ enum Op {
     Nll { probs: T, target: usize },
     Scale(T, f32),
     SumList(Vec<T>),
-    /// Fused `w·x + b` (fast policy only); params referenced directly.
-    Affine { w: usize, x: T, b: usize },
-    /// Fused `w1·x1 + w2·x2 + b` — the packed `[i|f|g|o]` LSTM
-    /// pre-activation (fast policy only).
-    Affine2 { w1: usize, x1: T, w2: usize, x2: T, b: usize },
-    /// Fused `w·x`, no bias (fast policy only).
-    Linear { w: usize, x: T },
+    /// Fused `w·x [+ w2·x2] [+ b]` (fast policy only); params referenced
+    /// directly. With `w2x2` it is the packed `[i|f|g|o]` LSTM
+    /// pre-activation; without `b`, a plain projection.
+    Affine { w: usize, x: T, w2x2: Option<(usize, T)>, b: Option<usize> },
     /// Fused LSTM gate step (fast policy only): value is `[h'; c']`
     /// (2h×1); `aux` caches `[i, f, g, o, tanh(c')]` (5h×1) for backward.
     LstmGates { z: T, c_prev: T, aux: Matrix },
@@ -532,26 +531,9 @@ impl Tape {
     }
 
     /// `w·x + b`. Fast: one fused node referencing the params directly.
-    /// Naive: the pre-rewrite chain `add(matmul(param(w), x), param(b))` —
-    /// bit-identical because `(w·x)[i] + b[i]` is computed in the same
-    /// order either way.
+    /// Naive: the pre-rewrite chain `add(matmul(param(w), x), param(b))`.
     pub fn affine(&mut self, store: &ParamStore, w: ParamId, x: T, b: ParamId) -> T {
-        if self.naive {
-            let wp = self.param(w);
-            let bp = self.param(b);
-            let z = self.matmul(store, wp, x);
-            return self.add(store, z, bp);
-        }
-        let out = {
-            let wm = &store.mats[w.0];
-            let mut out = self.new_mat_overwrite(wm.rows, 1);
-            wm.matmul_into(self.value(store, x), &mut out);
-            for (o, &bv) in out.data.iter_mut().zip(&store.mats[b.0].data) {
-                *o += bv;
-            }
-            out
-        };
-        self.push(Some(out), Op::Affine { w: w.0, x, b: b.0 })
+        self.fused_affine(store, w, x, None, Some(b))
     }
 
     /// `w1·x1 + w2·x2 + b` — the packed `[i|f|g|o]` LSTM pre-activation as
@@ -567,42 +549,60 @@ impl Tape {
         x2: T,
         b: ParamId,
     ) -> T {
-        if self.naive {
-            let wp1 = self.param(w1);
-            let wp2 = self.param(w2);
-            let bp = self.param(b);
-            let z1 = self.matmul(store, wp1, x1);
-            let z2 = self.matmul(store, wp2, x2);
-            let z = self.add(store, z1, z2);
-            return self.add(store, z, bp);
-        }
-        let out = {
-            let w1m = &store.mats[w1.0];
-            let mut out = self.new_mat_overwrite(w1m.rows, 1);
-            w1m.matmul_into(self.value(store, x1), &mut out);
-            store.mats[w2.0].matvec_acc(self.value(store, x2), &mut out);
-            for (o, &bv) in out.data.iter_mut().zip(&store.mats[b.0].data) {
-                *o += bv;
-            }
-            out
-        };
-        self.push(Some(out), Op::Affine2 { w1: w1.0, x1, w2: w2.0, x2, b: b.0 })
+        self.fused_affine(store, w1, x1, Some((w2, x2)), Some(b))
     }
 
     /// `w·x` with no bias (bridge / attention-query / copy-gate
     /// projections).
     pub fn linear(&mut self, store: &ParamStore, w: ParamId, x: T) -> T {
+        self.fused_affine(store, w, x, None, None)
+    }
+
+    /// The one fused affine op behind `affine`, `affine2` and `linear`:
+    /// `w·x [+ w2·x2] [+ b]`. Fast: one node referencing the params
+    /// directly — `w·x`, then `w2·x2` accumulated onto it, then the bias.
+    /// Naive: the pre-rewrite chain `add(add(matmul(param(w), x),
+    /// matmul(param(w2), x2)), param(b))`, its `Param` nodes pushed first.
+    /// Bit-identical because each element sums its terms in the same order
+    /// either way.
+    fn fused_affine(
+        &mut self,
+        store: &ParamStore,
+        w: ParamId,
+        x: T,
+        w2x2: Option<(ParamId, T)>,
+        b: Option<ParamId>,
+    ) -> T {
         if self.naive {
             let wp = self.param(w);
-            return self.matmul(store, wp, x);
+            let w2p = w2x2.map(|(w2, x2)| (self.param(w2), x2));
+            let bp = b.map(|b| self.param(b));
+            let mut z = self.matmul(store, wp, x);
+            if let Some((w2p, x2)) = w2p {
+                let z2 = self.matmul(store, w2p, x2);
+                z = self.add(store, z, z2);
+            }
+            if let Some(bp) = bp {
+                z = self.add(store, z, bp);
+            }
+            return z;
         }
         let out = {
             let wm = &store.mats[w.0];
             let mut out = self.new_mat_overwrite(wm.rows, 1);
             wm.matmul_into(self.value(store, x), &mut out);
+            if let Some((w2, x2)) = w2x2 {
+                store.mats[w2.0].matvec_acc(self.value(store, x2), &mut out);
+            }
+            if let Some(b) = b {
+                for (o, &bv) in out.data.iter_mut().zip(&store.mats[b.0].data) {
+                    *o += bv;
+                }
+            }
             out
         };
-        self.push(Some(out), Op::Linear { w: w.0, x })
+        let w2x2 = w2x2.map(|(w2, x2)| (w2.0, x2));
+        self.push(Some(out), Op::Affine { w: w.0, x, w2x2, b: b.map(|b| b.0) })
     }
 
     /// One LSTM gate step from the packed pre-activation `z` (4h×1) and the
@@ -841,33 +841,21 @@ impl Tape {
                         acc(&mut grads, p, g.clone());
                     }
                 }
-                // Fused arms (fast policy only). Weight gradients are
+                // Fused arm (fast policy only). Weight gradients are
                 // rank-1 accumulated straight into the grad set — the same
                 // `entry += g_i·x_j` additions the unfused
                 // matmul_nt + Param-node chain performs, without the
-                // intermediate weight-sized matrices.
-                Op::Affine { w, x, b } => {
-                    let (w, x, b) = (*w, *x, *b);
-                    rank1_acc(entry(&mut gs, store, w), &g, self.value(store, x));
-                    let dx = self.k_matmul_tn(&store.mats[w], &g);
-                    acc(&mut grads, x, dx);
-                    entry(&mut gs, store, b).add_assign(&g);
-                }
-                Op::Affine2 { w1, x1, w2, x2, b } => {
-                    let (w1, x1, w2, x2, b) = (*w1, *x1, *w2, *x2, *b);
-                    rank1_acc(entry(&mut gs, store, w1), &g, self.value(store, x1));
-                    let dx1 = self.k_matmul_tn(&store.mats[w1], &g);
-                    acc(&mut grads, x1, dx1);
-                    rank1_acc(entry(&mut gs, store, w2), &g, self.value(store, x2));
-                    let dx2 = self.k_matmul_tn(&store.mats[w2], &g);
-                    acc(&mut grads, x2, dx2);
-                    entry(&mut gs, store, b).add_assign(&g);
-                }
-                Op::Linear { w, x } => {
-                    let (w, x) = (*w, *x);
-                    rank1_acc(entry(&mut gs, store, w), &g, self.value(store, x));
-                    let dx = self.k_matmul_tn(&store.mats[w], &g);
-                    acc(&mut grads, x, dx);
+                // intermediate weight-sized matrices. Per term: weight
+                // gradient, then input gradient; the bias after the terms.
+                Op::Affine { w, x, w2x2, b } => {
+                    for (w, x) in std::iter::once((*w, *x)).chain(*w2x2) {
+                        entry(&mut gs, store, w).rank1_acc(&g, self.value(store, x));
+                        let dx = self.k_matmul_tn(&store.mats[w], &g);
+                        acc(&mut grads, x, dx);
+                    }
+                    if let Some(b) = *b {
+                        entry(&mut gs, store, b).add_assign(&g);
+                    }
                 }
                 // Mirrors the unfused chain's float expressions and
                 // accumulation order exactly:
@@ -941,23 +929,6 @@ fn entry<'a>(gs: &'a mut GradSet, store: &ParamStore, id: usize) -> &'a mut Matr
         let m = &store.mats[id];
         Matrix::zeros(m.rows, m.cols)
     })
-}
-
-/// `m += g · xᵀ` — the weight-gradient outer product accumulated in place.
-/// Each element performs the single `+= g_i·x_j` addition the unfused path
-/// performs after materializing the product, so the bits match.
-fn rank1_acc(m: &mut Matrix, g: &Matrix, x: &Matrix) {
-    if nv_trace::enabled() {
-        nv_trace::count("nn.rank1.flops", 2 * (m.rows * m.cols) as u64);
-    }
-    let cols = m.cols;
-    for i in 0..m.rows {
-        let gi = g.data[i];
-        let row = &mut m.data[i * cols..(i + 1) * cols];
-        for (o, &xv) in row.iter_mut().zip(&x.data) {
-            *o += gi * xv;
-        }
-    }
 }
 
 fn acc(grads: &mut [Option<Matrix>], t: T, g: Matrix) {

@@ -2,8 +2,9 @@
 //!
 //! Everything the seq2vis translator needs, with no ML framework:
 //!
-//! * [`matrix`] — dense f32 matrices with cache-blocked matmul kernels and
-//!   a bit-identical naive [`matrix::reference`] oracle, all sharing one
+//! * [`matrix`] — dense f32 matrices with one kernel per product the model
+//!   computes (matvec, transposed matvec, outer product) and a
+//!   bit-identical naive [`matrix::reference`] oracle, all sharing one
 //!   canonical fixed-order reduction;
 //! * [`autograd`] — a tape-based reverse-mode autograd whose op set is
 //!   exactly the seq2seq working set (fused LSTM gate step, attention,

@@ -1,36 +1,41 @@
 //! A dense f32 matrix — the storage type of the neural substrate — with
-//! cache-blocked matmul kernels sized for seq2seq-scale models.
+//! matvec and outer-product kernels sized for seq2seq-scale models.
 //!
 //! ## The fixed reduction order
 //!
 //! Every kernel reduces along the shared dimension with [`dot`]: a 4-lane
 //! split accumulation (`acc[0..4]` over chunks of 4, lanes summed
 //! `0+1+2+3`, then a sequential tail). This is the crate's **canonical
-//! reduction order**. The blocked kernels change *memory access* — packed
-//! transposed panels, register tiles, row-streamed lanes — but never the
-//! per-element summation order, so they are **bit-identical** to the
-//! straightforward reference kernels in [`reference`](mod@reference), which
-//! reduce with the same `dot` over explicitly gathered rows.
-//! `tests/train_determinism.rs` holds whole training runs to this
-//! equality, and the unit tests below hold every kernel to it
-//! shape-by-shape.
+//! reduction order**. The fast kernels change *memory access* — four rows
+//! at a time, row-streamed lanes — but never the per-element summation
+//! order, so they are **bit-identical** to the straightforward reference
+//! kernels in [`reference`](mod@reference), which reduce with the same
+//! `dot` over explicitly gathered rows. `tests/train_determinism.rs` holds
+//! whole training runs to this equality, and the unit tests below hold
+//! every kernel to it shape-by-shape, bit for bit.
 //!
 //! ## Kernel shapes that matter
 //!
-//! Training and decoding are matvec-dominated (column-vector activations),
-//! so `matmul` and `matvec_acc` share a contiguous matvec path that reduces
-//! four weight rows at a time (`dot4`: four independent accumulator
-//! chains, each in [`dot`]'s exact order). Backward's `Wᵀ·g` matvec
-//! (`matmul_tn` with one column) streams `W` row by row instead of walking
-//! its columns: each output keeps [`dot`]'s four lanes as separate
-//! accumulator vectors, so the inner loop runs along a contiguous row
-//! while each output still sees `dot`'s exact summation order. The general
-//! kernels pack the transposed operand once per call and walk register
-//! tiles over contiguous panel rows — the layout the compiler can
-//! autovectorize. Packed panels and the `Wᵀ·g` lanes live in one
-//! thread-local scratch, so no kernel allocates per call. `*_into`
-//! variants write into a caller-provided matrix so the autograd tape can
-//! recycle buffers instead of allocating per op.
+//! Every model op is a matvec, a transposed matvec or an outer product
+//! (column-vector activations), and each has exactly one fast kernel:
+//!
+//! * `W·x` (`matmul` with one column, and `matvec_acc`) reduces four
+//!   weight rows at a time (`dot4`: four independent accumulator chains,
+//!   each in [`dot`]'s exact order).
+//! * `Wᵀ·g` (`matmul_tn` with one column, backward's input gradient)
+//!   streams `W` row by row: each output keeps [`dot`]'s four lanes as
+//!   separate accumulator vectors, so the inner loop runs along a
+//!   contiguous row while each output still sees `dot`'s exact summation
+//!   order. Lanes 1–3 live in a thread-local scratch, so it never
+//!   allocates per call.
+//! * `g·xᵀ` (`matmul_nt` with a shared dimension of 1, and
+//!   [`Matrix::rank1_acc`], the weight-gradient update) is one
+//!   `out[i][j] += g[i]·x[j]` loop.
+//!
+//! No model op multiplies by a matrix of more than one column, so every
+//! other shape writes the [`reference`](mod@reference) kernel's result.
+//! `*_into` variants write into a caller-provided matrix so the autograd
+//! tape can recycle buffers instead of allocating per op.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -152,11 +157,21 @@ fn matvec_tn_rows(w: &[f32], g: &[f32], out: &mut [f32], lanes: &mut Vec<f32>) {
     }
 }
 
+/// The outer product `out[i][j] += g[i]·x[j]` over the row-major `out`
+/// (row length `x.len()`) — the one loop behind [`Matrix::rank1_acc`] and
+/// `matmul_nt`'s shared-dimension-1 case.
+#[inline]
+fn outer_acc(out: &mut [f32], g: &[f32], x: &[f32]) {
+    for (row, &gi) in out.chunks_exact_mut(x.len()).zip(g) {
+        for (o, &xv) in row.iter_mut().zip(x) {
+            *o += gi * xv;
+        }
+    }
+}
+
 thread_local! {
-    /// Per-thread scratch for the blocked kernels: transposed panels live
-    /// here between the pack and the tile sweep, and the `Wᵀ·g` matvec
-    /// keeps its lanes 1–3 here.
-    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for the `Wᵀ·g` matvec's lanes 1–3.
+    static LANES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Count one GEMM's multiply-adds (2 flops each) when tracing is armed.
@@ -166,11 +181,6 @@ fn trace_flops(m: usize, k: usize, n: usize) {
         nv_trace::count("nn.gemm.flops", 2 * (m * k * n) as u64);
     }
 }
-
-/// Register-tile edge: output tiles are `TILE × TILE` dot products over the
-/// packed panels. 8×8 keeps both row pointers' panels resident in L1 for
-/// the dimensions this model uses (k ≤ a few hundred).
-const TILE: usize = 8;
 
 /// Dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,8 +238,8 @@ impl Matrix {
 
     /// `self × other` into a pre-shaped output (fully overwritten). The
     /// matrix-×-column-vector case (the seq2seq hot path) takes the
-    /// four-row `dot4` matvec path; the general case packs `otherᵀ` and
-    /// sweeps register tiles over contiguous panel rows.
+    /// four-row `dot4` matvec path; any other shape writes
+    /// [`reference::matmul`]'s result.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
@@ -238,17 +248,11 @@ impl Matrix {
         );
         debug_assert!(out.rows == self.rows && out.cols == other.cols);
         trace_flops(self.rows, self.cols, other.cols);
-        let k = self.cols;
         if other.cols == 1 {
             matvec_rows(&self.data, &other.data, &mut out.data[..self.rows], |o, d| *o = d);
-            return;
+        } else {
+            *out = reference::matmul(self, other);
         }
-        let n = other.cols;
-        PACK.with(|p| {
-            let mut p = p.borrow_mut();
-            pack_transposed(other, &mut p);
-            tiled_dot_sweep(self.rows, n, k, &self.data, &p, &mut out.data);
-        });
     }
 
     /// `selfᵀ × other`. Allocating wrapper over [`Self::matmul_tn_into`].
@@ -261,28 +265,18 @@ impl Matrix {
     /// `selfᵀ × other` into a pre-shaped output (fully overwritten) — the
     /// `Wᵀ g` backprop kernel. The matvec case streams `self` row by row
     /// through `matvec_tn_rows` (four lane accumulators per output in the
-    /// thread-local scratch, no transpose); the general case packs both
-    /// transposes so every inner loop is a contiguous [`dot`].
+    /// thread-local scratch, no transpose); any other shape writes
+    /// [`reference::matmul_tn`]'s result.
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape");
         debug_assert!(out.rows == self.cols && out.cols == other.cols);
         trace_flops(self.cols, self.rows, other.cols);
-        let k = self.rows; // shared dimension
-        let m = self.cols;
-        let n = other.cols;
-        PACK.with(|p| {
-            let mut p = p.borrow_mut();
-            if n == 1 {
-                matvec_tn_rows(&self.data, &other.data, &mut out.data[..m], &mut p);
-                return;
-            }
-            pack_transposed(self, &mut p);
-            // Pack otherᵀ behind selfᵀ in the same scratch.
-            let split = m * k;
-            pack_transposed_at(other, &mut p, split);
-            let (at, bt) = p.split_at(split);
-            tiled_dot_sweep(m, n, k, at, bt, &mut out.data);
-        });
+        if other.cols == 1 {
+            let out = &mut out.data[..self.cols];
+            LANES.with(|l| matvec_tn_rows(&self.data, &other.data, out, &mut l.borrow_mut()));
+        } else {
+            *out = reference::matmul_tn(self, other);
+        }
     }
 
     /// `self × otherᵀ`. Allocating wrapper over [`Self::matmul_nt_into`].
@@ -292,26 +286,33 @@ impl Matrix {
         out
     }
 
-    /// `self × otherᵀ` into a pre-shaped output (fully overwritten). Both
-    /// operands are already row-major panels, so no packing is needed; the
-    /// rank-1 case (`g xᵀ` — the weight-gradient outer product) writes the
-    /// product directly.
+    /// `self × otherᵀ` into a pre-shaped output (fully overwritten). The
+    /// shared-dimension-1 case (`g xᵀ`, an outer product) zero-fills and
+    /// accumulates, computing `0.0 + g_i·x_j` exactly as [`dot`] does for
+    /// one element (so a `-0.0` product comes out `+0.0`); any other shape
+    /// writes [`reference::matmul_nt`]'s result.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt shape");
         debug_assert!(out.rows == self.rows && out.cols == other.rows);
         trace_flops(self.rows, self.cols, other.rows);
-        let k = self.cols;
-        if k == 1 {
-            for i in 0..self.rows {
-                let a = self.data[i];
-                let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-                for (o, &b) in out_row.iter_mut().zip(&other.data) {
-                    *o = a * b;
-                }
-            }
-            return;
+        if self.cols == 1 {
+            out.data.fill(0.0);
+            outer_acc(&mut out.data, &self.data, &other.data);
+        } else {
+            *out = reference::matmul_nt(self, other);
         }
-        tiled_dot_sweep(self.rows, other.rows, k, &self.data, &other.data, &mut out.data);
+    }
+
+    /// `self += g · xᵀ` — the weight-gradient outer product accumulated in
+    /// place. Each element performs the single `+= g_i·x_j` addition the
+    /// unfused path performs after materializing the product, so the bits
+    /// match.
+    pub fn rank1_acc(&mut self, g: &Matrix, x: &Matrix) {
+        debug_assert!(g.data.len() == self.rows && x.data.len() == self.cols);
+        if nv_trace::enabled() {
+            nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols) as u64);
+        }
+        outer_acc(&mut self.data, &g.data, &x.data);
     }
 
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
@@ -350,57 +351,10 @@ impl Matrix {
     }
 }
 
-/// Pack `m`'s transpose into `scratch[0..cols*rows]`.
-fn pack_transposed(m: &Matrix, scratch: &mut Vec<f32>) {
-    scratch.clear();
-    scratch.resize(m.rows * m.cols, 0.0);
-    pack_transposed_at_slice(m, scratch, 0);
-}
-
-/// Pack `m`'s transpose into `scratch[at..at + cols*rows]`, growing the
-/// scratch as needed.
-fn pack_transposed_at(m: &Matrix, scratch: &mut Vec<f32>, at: usize) {
-    if scratch.len() < at + m.rows * m.cols {
-        scratch.resize(at + m.rows * m.cols, 0.0);
-    }
-    pack_transposed_at_slice(m, scratch, at);
-}
-
-fn pack_transposed_at_slice(m: &Matrix, scratch: &mut [f32], at: usize) {
-    let (r, c) = (m.rows, m.cols);
-    for i in 0..r {
-        let row = &m.data[i * c..(i + 1) * c];
-        for (j, &v) in row.iter().enumerate() {
-            scratch[at + j * r + i] = v;
-        }
-    }
-}
-
-/// The shared tile sweep: `out[i][j] = dot(a_rows[i], b_rows[j])` over
-/// `TILE × TILE` output tiles, where both operands are row-major panels of
-/// length `k`. Tiling bounds the working set (2·TILE panels) so the panels
-/// stay cache-resident across the tile; each element is one full-`k`
-/// fixed-order [`dot`], so blocking never changes the summation order.
-fn tiled_dot_sweep(m: usize, n: usize, k: usize, a_rows: &[f32], b_rows: &[f32], out: &mut [f32]) {
-    for i0 in (0..m).step_by(TILE) {
-        let i1 = (i0 + TILE).min(m);
-        for j0 in (0..n).step_by(TILE) {
-            let j1 = (j0 + TILE).min(n);
-            for i in i0..i1 {
-                let arow = &a_rows[i * k..(i + 1) * k];
-                for j in j0..j1 {
-                    out[i * n + j] = dot(arow, &b_rows[j * k..(j + 1) * k]);
-                }
-            }
-        }
-    }
-}
-
-/// Naive reference kernels — the differential oracle for the blocked
-/// kernels above, mirroring the PR-1/PR-3 oracle pattern (a slow, obviously
-/// correct twin kept callable forever). They gather operand rows/columns
+/// Naive reference kernels — the differential oracle for the fast kernels
+/// above: a slow, obviously correct twin kept callable forever. They gather operand rows/columns
 /// with plain loops and reduce with the same canonical [`dot`], so their
-/// outputs are **bit-identical** to the blocked kernels'; `KernelPolicy::
+/// outputs are **bit-identical** to the fast kernels'; `KernelPolicy::
 /// NaiveOracle` routes a whole training run through them.
 pub mod reference {
     use super::{dot, Matrix};
@@ -474,6 +428,21 @@ mod tests {
         Matrix::xavier(rows.max(1), cols.max(1), rng)
     }
 
+    /// Like [`rand_mat`], but about a third of the entries are `+0.0` or
+    /// `-0.0`, so products of either sign of zero occur: `f32 ==` cannot
+    /// tell those apart, only a bit comparison can.
+    fn signed_zero_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let mut m = rand_mat(rows, cols, rng);
+        for x in &mut m.data {
+            match rng.random_range(0..6) {
+                0 => *x = 0.0,
+                1 => *x = -0.0,
+                _ => {}
+            }
+        }
+        m
+    }
+
     /// Matvec `(rows, k)` shapes for the four-row micro-kernel: full
     /// blocks, 1–3 remainder rows and every `k % 4` tail, then the model's
     /// own weight shapes at `Seq2VisConfig::tiny` (e 24, h 32) and
@@ -510,9 +479,10 @@ mod tests {
         assert_eq!(c.data, vec![58., 64., 139., 154.]);
     }
 
-    /// The blocked kernels must be bit-identical to the reference kernels
-    /// on every shape class (vector, tile-aligned, ragged-edge) — this is
-    /// the invariant that makes the NaiveOracle training path exact.
+    /// The fast kernels must be bit-identical to the reference kernels on
+    /// every shape class (vector, outer product, general, ragged-edge) and
+    /// for operands holding either sign of zero — this is the invariant
+    /// that makes the NaiveOracle training path exact.
     #[test]
     fn blocked_kernels_match_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -525,24 +495,29 @@ mod tests {
             (17, 33, 19),
             (64, 48, 24),
             (5, 1, 9),
+            (3, 1, 4),
+            (5, 1, 1),
         ];
         let matvecs = matvec_shapes().into_iter().map(|(m, k)| (m, k, 1));
-        for (m, k, n) in shapes.into_iter().chain(matvecs) {
-            let a = rand_mat(m, k, &mut rng);
-            let b = rand_mat(k, n, &mut rng);
-            let fast = a.matmul(&b);
-            let slow = reference::matmul(&a, &b);
-            assert_eq!(fast.data, slow.data, "matmul {m}x{k}x{n}");
+        let draws: [fn(usize, usize, &mut StdRng) -> Matrix; 2] = [rand_mat, signed_zero_mat];
+        for draw in draws {
+            for (m, k, n) in shapes.into_iter().chain(matvecs.clone()) {
+                let a = draw(m, k, &mut rng);
+                let b = draw(k, n, &mut rng);
+                let fast = a.matmul(&b);
+                let slow = reference::matmul(&a, &b);
+                assert_eq!(bits(&fast), bits(&slow), "matmul {m}x{k}x{n}");
 
-            let at = rand_mat(k, m, &mut rng);
-            let fast = at.matmul_tn(&b);
-            let slow = reference::matmul_tn(&at, &b);
-            assert_eq!(fast.data, slow.data, "matmul_tn {m}x{k}x{n}");
+                let at = draw(k, m, &mut rng);
+                let fast = at.matmul_tn(&b);
+                let slow = reference::matmul_tn(&at, &b);
+                assert_eq!(bits(&fast), bits(&slow), "matmul_tn {m}x{k}x{n}");
 
-            let bt = rand_mat(n, k, &mut rng);
-            let fast = a.matmul_nt(&bt);
-            let slow = reference::matmul_nt(&a, &bt);
-            assert_eq!(fast.data, slow.data, "matmul_nt {m}x{k}x{n}");
+                let bt = draw(n, k, &mut rng);
+                let fast = a.matmul_nt(&bt);
+                let slow = reference::matmul_nt(&a, &bt);
+                assert_eq!(bits(&fast), bits(&slow), "matmul_nt {m}x{k}x{n}");
+            }
         }
     }
 
@@ -559,11 +534,11 @@ mod tests {
             // Unfused: w·x then elementwise add — must be bit-identical.
             let mut unfused = w.matmul(&x);
             unfused.add_assign(&base);
-            assert_eq!(fused.data, unfused.data, "{rows}x{k}");
+            assert_eq!(bits(&fused), bits(&unfused), "{rows}x{k}");
             // And the reference twin agrees too.
             let mut reference = base.clone();
             reference::matvec_acc(&w, &x, &mut reference);
-            assert_eq!(fused.data, reference.data, "{rows}x{k}");
+            assert_eq!(bits(&fused), bits(&reference), "{rows}x{k}");
         }
     }
 
@@ -647,9 +622,9 @@ mod tests {
         }
     }
 
-    /// The lanes share the thread-local `PACK` scratch with the GEMM
-    /// paths: packed panels left behind by an `n > 1` call, or lanes of a
-    /// different size, must never leak into a later transposed matvec.
+    /// The transposed matvec keeps its lanes in a thread-local scratch:
+    /// lanes of a different size, or anything an `n > 1` call between two
+    /// matvecs leaves behind, must never leak into a later one.
     #[test]
     fn transposed_matvec_reuses_pack_scratch_exactly() {
         let mut rng = StdRng::seed_from_u64(16);

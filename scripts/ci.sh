@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh                  # everything (build, tests, vendor,
 #                                  # faults, warnings, doc, differential,
-#                                  # golden, trace, gradcheck, nvperf)
+#                                  # golden, trace, gradcheck, nvperf,
+#                                  # quick)
 #   scripts/ci.sh vendor           # the vendored crates' own unit tests
 #                                  # (vendor/ is outside the workspace)
 #   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
@@ -17,6 +18,8 @@
 #                                  # tests under the release codegen
 #   scripts/ci.sh nvperf           # benchmark-harness tests, including a
 #                                  # tiny checked smoke run of every workload
+#   scripts/ci.sh quick            # `reproduce quick` against its golden
+#   scripts/ci.sh quick --bless    # regenerate that golden, then re-verify
 #
 # The differential stage runs every generated query through the executor's
 # one entry point, `execute_with`, three ways (no cache, cache-cold,
@@ -70,6 +73,26 @@ run_gradcheck() {
   cargo test --release -q -p nv-nn
 }
 
+# `reproduce quick` minus the lines that carry wall times or the machine's
+# thread count; everything else is seeded and must not move.
+quick_output() {
+  cargo build --release -q -p nv-bench --bin reproduce
+  target/release/reproduce quick | grep -vE \
+    '^=== nvBench reproduction |^\[[A-Za-z0-9_]+\] [0-9.]+s$|^\[setup\] |^\[training\] done in |^=== total '
+}
+
+run_quick() {
+  local golden=tests/golden/reproduce_quick.txt
+  if [[ "${1:-}" == "--bless" ]]; then
+    echo "=== reproduce quick: bless ==="
+    quick_output > "$golden"
+    echo "=== reproduce quick: verify the blessed file round-trips ==="
+  else
+    echo "=== reproduce quick: verify against $golden ==="
+  fi
+  diff -u "$golden" <(quick_output)
+}
+
 run_nvperf() {
   echo "=== nvperf: harness tests + checked smoke run of every workload ==="
   cargo test --release --offline --manifest-path nvperf/Cargo.toml
@@ -104,44 +127,51 @@ case "$stage" in
     run_nvperf
     exit 0
     ;;
+  quick)
+    run_quick "${2:-}"
+    exit 0
+    ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf]" >&2
+    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/11] cargo build --release ==="
+echo "=== [1/12] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/11] cargo test -q (every workspace crate) ==="
+echo "=== [2/12] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/11] vendored crates' unit tests ==="
+echo "=== [3/12] vendored crates' unit tests ==="
 run_vendor
 
-echo "=== [4/11] fault-injection harness ==="
+echo "=== [4/12] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [5/11] warnings-clean (whole workspace, all targets) ==="
+echo "=== [5/12] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [6/11] warnings-clean rustdoc ==="
+echo "=== [6/12] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [7/11] differential oracle ==="
+echo "=== [7/12] differential oracle ==="
 run_differential
 
-echo "=== [8/11] golden snapshots ==="
+echo "=== [8/12] golden snapshots ==="
 run_golden
 
-echo "=== [9/11] trace observability gate ==="
+echo "=== [9/12] trace observability gate ==="
 run_trace
 
-echo "=== [10/11] training-kernel gradcheck + determinism gate ==="
+echo "=== [10/12] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [11/11] benchmark harness (nvperf) ==="
+echo "=== [11/12] benchmark harness (nvperf) ==="
 run_nvperf
+
+echo "=== [12/12] reproduce quick golden ==="
+run_quick
 
 echo "=== CI green ==="
