@@ -193,13 +193,6 @@ impl AggFunc {
             _ => return None,
         })
     }
-
-    /// Aggregates that require a quantitative input column. `Count` works on
-    /// anything; `Max`/`Min` also work on orderable non-numerics but the
-    /// synthesizer only inserts them on quantitative columns.
-    pub fn requires_quantitative(self) -> bool {
-        matches!(self, AggFunc::Sum | AggFunc::Avg)
-    }
 }
 
 /// The `A` production: an optionally aggregated column.

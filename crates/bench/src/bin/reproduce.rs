@@ -31,6 +31,9 @@
 //! stops after the data sections) — and writes the aggregated report
 //! (executor counters, worker-pool gauges, per-stage span timings such as
 //! `seq2vis.eval` and `nn.decode`) once, at the end, as `nv-trace/v1` JSON.
+//!
+//! Any other argument, or a value that does not parse, prints a one-line
+//! usage to stderr and exits with status 2 before any work starts.
 
 use nv_bench::experiments::*;
 use nv_bench::{Context, Scale};
@@ -38,31 +41,61 @@ use nvbench::core::SynthesizerConfig;
 use nvbench::data::ExecBudget;
 use std::time::Instant;
 
+const USAGE: &str = "usage: reproduce [quick] [data] [threads=N] [max_rows=N] [fuel=N] \
+                     [quarantine=PATH] [trace=PATH]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    scale: Scale,
+    data_only: bool,
+    /// `None` = every available core.
+    threads: Option<usize>,
+    budget: ExecBudget,
+    quarantine_path: String,
+    trace_path: Option<String>,
+}
+
+/// Parse the command line; an unknown word or a malformed value is an
+/// error naming that argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args {
+        scale: Scale::Full,
+        data_only: false,
+        threads: None,
+        budget: ExecBudget::default(),
+        quarantine_path: "quarantine.json".to_string(),
+        trace_path: None,
+    };
+    for arg in args {
+        let bad = || format!("invalid argument '{arg}'");
+        let num = |v: &str| v.parse::<u64>().map_err(|_| bad());
+        let path = |v: &str| if v.is_empty() { Err(bad()) } else { Ok(v.to_string()) };
+        match arg.split_once('=') {
+            None if arg == "quick" => out.scale = Scale::Quick,
+            None if arg == "data" => out.data_only = true,
+            Some(("threads", v)) => out.threads = Some(num(v)? as usize),
+            Some(("max_rows", v)) => out.budget.max_rows = num(v)? as usize,
+            Some(("fuel", v)) => out.budget.fuel = num(v)?,
+            Some(("quarantine", v)) => out.quarantine_path = path(v)?,
+            Some(("trace", v)) => out.trace_path = Some(path(v)?),
+            _ => return Err(format!("unknown argument '{arg}'")),
+        }
+    }
+    Ok(out)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "quick") { Scale::Quick } else { Scale::Full };
-    let data_only = args.iter().any(|a| a == "data");
-    let threads = args
-        .iter()
-        .find_map(|a| a.strip_prefix("threads=").and_then(|n| n.parse().ok()))
-        .unwrap_or_else(nvbench::core::par::available_threads);
-    let arg_num = |key: &str| {
-        args.iter().find_map(|a| a.strip_prefix(key).and_then(|n| n.parse::<u64>().ok()))
-    };
-    let mut budget = ExecBudget::default();
-    if let Some(n) = arg_num("max_rows=") {
-        budget.max_rows = n as usize;
-    }
-    if let Some(n) = arg_num("fuel=") {
-        budget.fuel = n;
-    }
-    let quarantine_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("quarantine=").map(str::to_string))
-        .unwrap_or_else(|| "quarantine.json".to_string());
-    let trace_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("trace=").map(str::to_string));
+    let Args { scale, data_only, threads, budget, quarantine_path, trace_path } =
+        match parse_args(&args) {
+            Ok(a) => a,
+            Err(e) => {
+                eprintln!("reproduce: {e}; {USAGE}");
+                std::process::exit(2);
+            }
+        };
+    let threads = threads.unwrap_or_else(nvbench::core::par::available_threads);
 
     let t0 = Instant::now();
     println!("=== nvBench reproduction — scale {scale:?}, {threads} synthesis thread(s) ===\n");
@@ -144,7 +177,7 @@ fn paper_sections(ctx: &Context, scale: Scale, data_only: bool) {
     section("fig17", || exp_fig17(&reports));
     section("table4", || exp_table4(&reports));
     section("table5", || exp_table5(ctx, scale, &reports[1]));
-    section("fig19", || exp_fig19(&reports[1].0, ctx));
+    section("fig19", || exp_fig19(&reports[1].0));
     section("fig18", || exp_fig18(ctx, scale));
 }
 
@@ -156,4 +189,61 @@ fn section(name: &str, body: impl FnOnce() -> String) {
     println!("----------------------------------------------------------------");
     println!("{text}");
     println!("[{name}] {:.3}s", t.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        parse_args(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_is_the_full_run() {
+        let a = parse(&[]).unwrap();
+        assert_eq!(a.scale, Scale::Full);
+        assert!(!a.data_only);
+        assert_eq!(a.threads, None);
+        assert_eq!(a.budget, ExecBudget::default());
+        assert_eq!(a.quarantine_path, "quarantine.json");
+        assert_eq!(a.trace_path, None);
+    }
+
+    #[test]
+    fn every_documented_argument_parses() {
+        let a = parse(&[
+            "quick",
+            "data",
+            "threads=4",
+            "max_rows=1000",
+            "fuel=77",
+            "quarantine=q.json",
+            "trace=t.json",
+        ])
+        .unwrap();
+        assert_eq!(a.scale, Scale::Quick);
+        assert!(a.data_only);
+        assert_eq!(a.threads, Some(4));
+        assert_eq!(a.budget.max_rows, 1000);
+        assert_eq!(a.budget.fuel, 77);
+        assert_eq!(a.quarantine_path, "q.json");
+        assert_eq!(a.trace_path.as_deref(), Some("t.json"));
+    }
+
+    #[test]
+    fn unknown_words_and_bad_values_are_rejected() {
+        for (words, msg) in [
+            (&["quik"][..], "unknown argument 'quik'"),
+            (&["quick", "--help"][..], "unknown argument '--help'"),
+            (&["quick=1"][..], "unknown argument 'quick=1'"),
+            (&["thread=2"][..], "unknown argument 'thread=2'"),
+            (&["threads=abc"][..], "invalid argument 'threads=abc'"),
+            (&["fuel=-1"][..], "invalid argument 'fuel=-1'"),
+            (&["max_rows="][..], "invalid argument 'max_rows='"),
+            (&["trace="][..], "invalid argument 'trace='"),
+        ] {
+            assert_eq!(parse(words), Err(msg.to_string()), "{words:?}");
+        }
+    }
 }

@@ -12,7 +12,9 @@ use nvbench::core::{
 use nvbench::baselines::{DeepEyeBaseline, Nl4DvBaseline};
 use nvbench::eval::{inter_rater, run_study, simulate_t3, StudyConfig, StudyResult};
 use nvbench::nn::ModelVariant;
-use nvbench::seq2vis::{evaluate, evaluate_top_k, value_fill_accuracy, EvalReport, Seq2Vis};
+use nvbench::seq2vis::{
+    build_dataset, evaluate, evaluate_top_k, value_fill_accuracy, EvalReport, Seq2Vis,
+};
 use std::fmt::Write as _;
 
 fn pct(x: f64) -> String {
@@ -480,38 +482,31 @@ pub fn exp_fig18(ctx: &Context, scale: Scale) -> String {
         low.len()
     )
     .unwrap();
+    // `min_freq` does not depend on the variant, so one dataset serves all
+    // three.
+    let dataset = build_dataset(&ctx.bench, mk_cfg(ModelVariant::Basic).min_freq);
+    let (low_train, clean): (Vec<usize>, Vec<usize>) =
+        ctx.split.train.iter().partition(|&i| low.contains(i));
+    // The 6-point sweep retrains per point; cap the budget harder than the
+    // main runs (relative accuracy is the reported quantity).
+    let cap = scale.train_cap().unwrap_or(usize::MAX).min(900);
+    let val = dataset.subset(&ctx.split.val);
     for variant in ModelVariant::ALL {
-        let (_, dataset) = Seq2Vis::prepare(&ctx.bench, mk_cfg(variant));
-        let clean: Vec<usize> = ctx
-            .split
-            .train
-            .iter()
-            .copied()
-            .filter(|i| !low.contains(i))
-            .collect();
-        let low_train: Vec<usize> = ctx
-            .split
-            .train
-            .iter()
-            .copied()
-            .filter(|i| low.contains(i))
-            .collect();
-        // The 6-point sweep retrains per point; cap the budget harder than
-        // the main runs (relative accuracy is the reported quantity).
-        let cap = scale.train_cap().unwrap_or(usize::MAX).min(900);
-
+        // The absolute clean-point accuracy comes first: a delta off a 0%
+        // baseline says nothing.
         let mut line = format!("  {:<20}", variant.name());
-        let mut baseline_acc = None;
+        let mut base = 0.0;
         for pct_inject in [0usize, 20, 40, 60, 80, 100] {
             let n_low = low_train.len() * pct_inject / 100;
             let mut train_idx: Vec<usize> = clean.iter().copied().take(cap).collect();
             train_idx.extend(low_train.iter().copied().take(n_low));
             let mut model = Seq2Vis::from_dataset(&dataset, mk_cfg(variant));
-            let train = dataset.subset(&train_idx);
-            let val = dataset.subset(&ctx.split.val);
-            model.train_on(&train, &val);
+            model.train_on(&dataset.subset(&train_idx), &val);
             let acc = evaluate(&model, &ctx.bench, &idx).tree_accuracy();
-            let base = *baseline_acc.get_or_insert(acc.max(1e-9));
+            if pct_inject == 0 {
+                base = acc;
+                write!(line, " clean {:.1}% |", acc * 100.0).unwrap();
+            }
             write!(line, " {pct_inject}%→{:+.1}pp", (acc - base) * 100.0).unwrap();
         }
         writeln!(out, "{line}").unwrap();
@@ -522,7 +517,7 @@ pub fn exp_fig18(ctx: &Context, scale: Scale) -> String {
 // --------------------------------------------------------------- Figure 19
 
 /// Figure 19 — the COVID-19 case study: six expert NL queries.
-pub fn exp_fig19(model: &Seq2Vis, _ctx: &Context) -> String {
+pub fn exp_fig19(model: &Seq2Vis) -> String {
     let db = nvbench::spider::covid_database(42);
     let cases = nvbench::spider::covid_cases();
     let mut out = String::new();

@@ -3,17 +3,15 @@
 //! Every fallible layer of the synthesis stack keeps its own precise error
 //! type (`SqlError`, `ExecError`, `CsvError`, `RenderError`,
 //! `PipelineError`) — those are the types to match on near the failure.
-//! [`NvError`] is the *classification* layer above them: one kind per broad
-//! failure family, plus a human-readable message and a breadcrumb context
-//! chain, so corpus-scale tooling (quarantine logs, dashboards, retries) can
-//! aggregate failures without knowing every crate's enum.
+//! [`NvErrorKind`] is the one classification above them: a broad failure
+//! family per quarantined pair, assigned by
+//! [`PipelineError::kind`](crate::PipelineError::kind), so corpus-scale
+//! tooling (the quarantine ledger, trace counters) can aggregate failures
+//! without knowing every crate's enum.
 
-use nv_data::{CsvError, ExecError};
-use nv_render::RenderError;
-use nv_sql::SqlError;
 use serde::Serialize;
 
-/// The failure family of an [`NvError`].
+/// The failure family of a quarantined pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum NvErrorKind {
     /// Malformed input text: lexing or parsing failed.
@@ -22,8 +20,6 @@ pub enum NvErrorKind {
     Exec,
     /// Name resolution failed: unknown table, column, or database.
     Schema,
-    /// Malformed data (CSV rows, values) rejected at ingestion.
-    Data,
     /// An executor budget was hit: rows, subquery depth, or fuel.
     ResourceExhausted,
     /// Invariant violation, caught panic, or injected fault.
@@ -37,15 +33,9 @@ impl NvErrorKind {
             NvErrorKind::Parse => "parse",
             NvErrorKind::Exec => "exec",
             NvErrorKind::Schema => "schema",
-            NvErrorKind::Data => "data",
             NvErrorKind::ResourceExhausted => "resource_exhausted",
             NvErrorKind::Internal => "internal",
         }
-    }
-
-    /// Is this failure family worth retrying with a larger budget?
-    pub fn is_retryable(self) -> bool {
-        matches!(self, NvErrorKind::ResourceExhausted)
     }
 }
 
@@ -55,141 +45,9 @@ impl std::fmt::Display for NvErrorKind {
     }
 }
 
-/// A classified error with a source-chain of context breadcrumbs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NvError {
-    pub kind: NvErrorKind,
-    pub message: String,
-    /// Outer-to-inner breadcrumbs added via [`NvError::context`].
-    pub context: Vec<String>,
-}
-
-impl NvError {
-    pub fn new(kind: NvErrorKind, message: impl Into<String>) -> NvError {
-        NvError { kind, message: message.into(), context: Vec::new() }
-    }
-
-    /// Attach a breadcrumb describing where the error surfaced (pair id,
-    /// stage, file…). Breadcrumbs render outermost-first.
-    pub fn context(mut self, ctx: impl Into<String>) -> NvError {
-        self.context.insert(0, ctx.into());
-        self
-    }
-
-    pub fn kind(&self) -> NvErrorKind {
-        self.kind
-    }
-
-    /// An internal error from a caught panic payload.
-    pub fn from_panic(message: impl Into<String>) -> NvError {
-        NvError::new(NvErrorKind::Internal, message)
-    }
-}
-
-impl std::fmt::Display for NvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.kind.label(), self.message)?;
-        for c in &self.context {
-            write!(f, " ({c})")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for NvError {}
-
-impl From<SqlError> for NvError {
-    fn from(e: SqlError) -> NvError {
-        let kind = match &e {
-            SqlError::Resolve(_) => NvErrorKind::Schema,
-            _ => NvErrorKind::Parse,
-        };
-        NvError::new(kind, e.to_string())
-    }
-}
-
-impl From<ExecError> for NvError {
-    fn from(e: ExecError) -> NvError {
-        let kind = match &e {
-            ExecError::UnknownTable(_) | ExecError::UnknownColumn(_) => NvErrorKind::Schema,
-            ExecError::ResourceExhausted(_) => NvErrorKind::ResourceExhausted,
-            ExecError::Internal(_) => NvErrorKind::Internal,
-            _ => NvErrorKind::Exec,
-        };
-        NvError::new(kind, e.to_string())
-    }
-}
-
-impl From<CsvError> for NvError {
-    fn from(e: CsvError) -> NvError {
-        NvError::new(NvErrorKind::Data, e.to_string())
-    }
-}
-
-impl From<RenderError> for NvError {
-    fn from(e: RenderError) -> NvError {
-        match e {
-            RenderError::Exec(inner) => NvError::from(inner).context("while rendering chart"),
-            other => NvError::new(NvErrorKind::Exec, other.to_string()),
-        }
-    }
-}
-
-impl From<crate::pipeline::PipelineError> for NvError {
-    fn from(e: crate::pipeline::PipelineError) -> NvError {
-        use crate::pipeline::PipelineError as P;
-        match e {
-            P::Sql(s) => NvError::from(s),
-            P::UnknownDatabase(d) => {
-                NvError::new(NvErrorKind::Schema, format!("unknown database '{d}'"))
-            }
-            P::Exec(x) => NvError::from(x),
-            P::Panic(m) => NvError::from_panic(m),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_map_from_source_errors() {
-        let e = NvError::from(SqlError::Parse { at: 3, message: "boom".into() });
-        assert_eq!(e.kind(), NvErrorKind::Parse);
-        let e = NvError::from(SqlError::Resolve("no col".into()));
-        assert_eq!(e.kind(), NvErrorKind::Schema);
-        let e = NvError::from(ExecError::ResourceExhausted("fuel".into()));
-        assert_eq!(e.kind(), NvErrorKind::ResourceExhausted);
-        assert!(e.kind().is_retryable());
-        let e = NvError::from(ExecError::UnknownTable("t".into()));
-        assert_eq!(e.kind(), NvErrorKind::Schema);
-        let e = NvError::from(ExecError::Internal("injected".into()));
-        assert_eq!(e.kind(), NvErrorKind::Internal);
-        let e = NvError::from(CsvError { line: 2, message: "bad row".into() });
-        assert_eq!(e.kind(), NvErrorKind::Data);
-        assert!(!e.kind().is_retryable());
-    }
-
-    #[test]
-    fn context_chain_renders_outermost_first() {
-        let e = NvError::new(NvErrorKind::Exec, "type error")
-            .context("candidate 4")
-            .context("pair 17");
-        let s = e.to_string();
-        assert!(s.contains("[exec] type error"), "{s}");
-        let pair = s.find("pair 17").unwrap();
-        let cand = s.find("candidate 4").unwrap();
-        assert!(pair < cand, "{s}");
-    }
-
-    #[test]
-    fn render_exec_errors_unwrap_to_inner_kind() {
-        let e = NvError::from(RenderError::Exec(ExecError::ResourceExhausted("rows".into())));
-        assert_eq!(e.kind(), NvErrorKind::ResourceExhausted);
-        let e = NvError::from(RenderError::Shape("bad arity".into()));
-        assert_eq!(e.kind(), NvErrorKind::Exec);
-    }
 
     #[test]
     fn labels_are_stable() {

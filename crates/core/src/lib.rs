@@ -56,7 +56,7 @@ pub mod fault {
 pub use nv_trace as trace;
 
 pub use benchmark::{NlVisPair, NvBench, Split, VisObject};
-pub use error::{NvError, NvErrorKind};
+pub use error::NvErrorKind;
 pub use io::{from_json, to_json, IoError};
 pub use cost::{paper_reference_report, CostModel, CostReport};
 pub use pipeline::{

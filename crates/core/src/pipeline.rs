@@ -9,7 +9,7 @@
 //! benchmark with global vis deduplication.
 
 use crate::benchmark::{NlVisPair, NvBench, VisObject};
-use crate::error::{NvError, NvErrorKind};
+use crate::error::NvErrorKind;
 use crate::par;
 use nv_ast::Hardness;
 use nv_data::{Database, ExecBudget, ExecCache, ExecError, ExecOptions};
@@ -94,6 +94,23 @@ impl PipelineError {
             PipelineError::Sql(_) => SynthStage::Parse,
             PipelineError::Exec(_) => SynthStage::Filter,
             PipelineError::Panic(_) => SynthStage::Isolation,
+        }
+    }
+
+    /// The failure family recorded in the quarantine ledger.
+    pub fn kind(&self) -> NvErrorKind {
+        match self {
+            PipelineError::Sql(SqlError::Resolve(_))
+            | PipelineError::UnknownDatabase(_)
+            | PipelineError::Exec(ExecError::UnknownTable(_) | ExecError::UnknownColumn(_)) => {
+                NvErrorKind::Schema
+            }
+            PipelineError::Sql(_) => NvErrorKind::Parse,
+            PipelineError::Exec(ExecError::ResourceExhausted(_)) => NvErrorKind::ResourceExhausted,
+            PipelineError::Exec(ExecError::Internal(_)) | PipelineError::Panic(_) => {
+                NvErrorKind::Internal
+            }
+            PipelineError::Exec(_) => NvErrorKind::Exec,
         }
     }
 }
@@ -370,17 +387,21 @@ impl Nl2SqlToNl2Vis {
                     kept.push(Some(ps));
                 }
                 Err(e) => {
-                    let stage = e.stage();
-                    let nv = NvError::from(e);
+                    let (stage, kind) = (e.stage(), e.kind());
                     if nv_trace::enabled() {
-                        nv_trace::count(&format!("synth.quarantined.{}", nv.kind().label()), 1);
+                        nv_trace::count(&format!("synth.quarantined.{}", kind.label()), 1);
                     }
+                    // The ledger records a panic's bare payload.
+                    let msg = match e {
+                        PipelineError::Panic(m) => m,
+                        e => e.to_string(),
+                    };
                     quarantine.push(QuarantineEntry {
                         pair_id: pair.id,
                         db_name: pair.db_name.clone(),
                         stage,
-                        error_kind: nv.kind(),
-                        error: nv.to_string(),
+                        error_kind: kind,
+                        error: format!("[{}] {msg}", kind.label()),
                         elapsed_us: iso.elapsed_us,
                     });
                     pair_digests.push(None);
@@ -695,7 +716,7 @@ mod tests {
         }
     }
 
-    /// A starved executor budget quarantines the pair with a retryable
+    /// A starved executor budget quarantines the pair with
     /// `ResourceExhausted` instead of hanging or panicking.
     #[test]
     fn exhausted_budget_quarantines_the_pair() {
@@ -709,7 +730,30 @@ mod tests {
         for q in &out.quarantine {
             assert_eq!(q.stage, SynthStage::Filter);
             assert_eq!(q.error_kind, NvErrorKind::ResourceExhausted);
-            assert!(q.error_kind.is_retryable());
+        }
+    }
+
+    /// Every row of the quarantine kind mapping.
+    #[test]
+    fn kinds_map_from_pipeline_errors() {
+        use NvErrorKind::*;
+        let s = |m: &str| m.to_string();
+        let cases = [
+            (PipelineError::Sql(SqlError::Lex(nv_sql::LexError { at: 0, message: s("?") })), Parse),
+            (PipelineError::Sql(SqlError::Parse { at: 3, message: s("boom") }), Parse),
+            (PipelineError::Sql(SqlError::Resolve(s("no col"))), Schema),
+            (PipelineError::UnknownDatabase(s("ghost")), Schema),
+            (PipelineError::Exec(ExecError::UnknownTable(s("t"))), Schema),
+            (PipelineError::Exec(ExecError::UnknownColumn(s("c"))), Schema),
+            (PipelineError::Exec(ExecError::TypeError(s("x"))), Exec),
+            (PipelineError::Exec(ExecError::Unsupported(s("x"))), Exec),
+            (PipelineError::Exec(ExecError::ArityMismatch { left: 1, right: 2 }), Exec),
+            (PipelineError::Exec(ExecError::ResourceExhausted(s("fuel"))), ResourceExhausted),
+            (PipelineError::Exec(ExecError::Internal(s("injected"))), Internal),
+            (PipelineError::Panic(s("boom")), Internal),
+        ];
+        for (e, kind) in cases {
+            assert_eq!(e.kind(), kind, "{e:?}");
         }
     }
 

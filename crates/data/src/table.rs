@@ -104,12 +104,6 @@ impl Database {
             .find(|t| t.name().eq_ignore_ascii_case(name))
     }
 
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables
-            .iter_mut()
-            .find(|t| t.schema.name.eq_ignore_ascii_case(name))
-    }
-
     pub fn add_table(&mut self, table: Table) {
         self.tables.push(table);
     }

@@ -9,11 +9,9 @@
 //! needs.
 
 pub mod raters;
-pub mod refine;
 pub mod study;
 pub mod timing;
 
-pub use refine::{refine, RefineReport};
 pub use raters::{all_latent_qualities, latent_quality, majority_vote, Likert, Rater};
 pub use study::{inter_rater, run_study, InterRater, LikertDist, StudyConfig, StudyResult};
 pub use timing::{simulate_t3, writing_time, TimingReport};

@@ -242,10 +242,6 @@ impl Tape {
         }
     }
 
-    pub fn policy(&self) -> KernelPolicy {
-        if self.naive { KernelPolicy::NaiveOracle } else { KernelPolicy::Fast }
-    }
-
     /// Number of nodes recorded so far.
     pub fn n_nodes(&self) -> usize {
         self.ops.len()

@@ -70,26 +70,6 @@ pub struct Seq2SeqConfig {
     pub kernel: KernelPolicy,
 }
 
-impl Seq2SeqConfig {
-    pub fn small(vocab: usize, bos: usize, eos: usize, variant: ModelVariant) -> Seq2SeqConfig {
-        Seq2SeqConfig {
-            vocab,
-            embed_dim: 48,
-            hidden: 64,
-            variant,
-            seed: 42,
-            lr: 2e-3,
-            clip: 2.0,
-            batch: 16,
-            bos,
-            eos,
-            max_decode_len: 60,
-            threads: 0,
-            kernel: KernelPolicy::Fast,
-        }
-    }
-}
-
 /// One training sample: source and target token-id sequences (no BOS/EOS —
 /// the model adds them).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,16 +371,9 @@ impl Seq2Seq {
         tape.scale(&self.store, total, 1.0 / losses.len() as f32)
     }
 
-    /// Per-token mean loss of one sample (no gradient).
-    pub fn loss(&self, sample: &Sample) -> f32 {
-        let mut tape = self.fresh_tape();
-        let loss = self.forward_loss(&mut tape, sample);
-        tape.value(&self.store, loss).data[0]
-    }
-
     /// Per-token mean loss with the final reduction done in f64. The
     /// finite-difference gradient checker reads losses through this: the
-    /// f32 sum-and-scale quantization of [`Seq2Seq::loss`] (~1 ulp of the
+    /// f32 sum-and-scale quantization of [`Seq2Seq::evaluate`] (~1 ulp of the
     /// loss value) is the same order as the FD signal `2ε·∂L/∂θ` for
     /// small-gradient blocks, so the check needs a readout quantized below
     /// that.
@@ -500,81 +473,6 @@ impl Seq2Seq {
         );
         let sum: f32 = losses.into_iter().sum();
         sum / samples.len() as f32
-    }
-
-    /// Beam-search decoding: the `width` best completed sequences with
-    /// their total log-probabilities, best first. `width == 1` degenerates
-    /// to greedy. (An extension beyond the paper's greedy decoder, used to
-    /// give seq2vis a top-k interface comparable to DeepEye's.)
-    pub fn decode_beam(&self, src: &[usize], width: usize) -> Vec<(Vec<usize>, f32)> {
-        let _span = nv_trace::span("nn.decode");
-        let width = width.max(1);
-        let store = &self.store;
-        let mut tape = self.fresh_tape();
-        let (enc_outputs, h0, c0) = self.encode(&mut tape, src);
-        let enc_mat = tape.concat_cols(store, &enc_outputs);
-        let copy_rows = self.copy_rows(src);
-
-        struct Hyp {
-            tokens: Vec<usize>,
-            logp: f32,
-            h: T,
-            c: T,
-            done: bool,
-        }
-        let mut beam = vec![Hyp { tokens: vec![], logp: 0.0, h: h0, c: c0, done: false }];
-        let mut finished: Vec<(Vec<usize>, f32)> = Vec::new();
-
-        for _ in 0..self.cfg.max_decode_len {
-            if beam.iter().all(|b| b.done) {
-                break;
-            }
-            let mut next: Vec<Hyp> = Vec::new();
-            for hyp in &beam {
-                if hyp.done {
-                    continue;
-                }
-                let prev = *hyp.tokens.last().unwrap_or(&self.cfg.bos);
-                let (probs, h2, c2) = self.decode_step(
-                    &mut tape,
-                    enc_mat,
-                    copy_rows.as_deref(),
-                    prev,
-                    hyp.h,
-                    hyp.c,
-                );
-                let pv = tape.value(store, probs);
-                // Top `width` continuations of this hypothesis.
-                let mut scored: Vec<(usize, f32)> = pv
-                    .data
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &p)| (i, p.max(1e-12).ln()))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-                for &(tok, lp) in scored.iter().take(width) {
-                    let mut tokens = hyp.tokens.clone();
-                    let logp = hyp.logp + lp;
-                    if tok == self.cfg.eos {
-                        finished.push((tokens, logp));
-                    } else {
-                        tokens.push(tok);
-                        next.push(Hyp { tokens, logp, h: h2, c: c2, done: false });
-                    }
-                }
-            }
-            next.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-            next.truncate(width);
-            beam = next;
-        }
-        // Hypotheses that never emitted EOS still count, ranked below equal
-        // finished scores by a small penalty.
-        for hyp in beam {
-            finished.push((hyp.tokens, hyp.logp - 1.0));
-        }
-        finished.sort_by(|a, b| b.1.total_cmp(&a.1));
-        finished.truncate(width);
-        finished
     }
 
     /// Greedy decoding.
@@ -774,26 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_search_contains_greedy_and_is_ordered() {
-        let samples = toy_samples(120, 12, 9);
-        let mut model = Seq2Seq::new(tiny_cfg(ModelVariant::Attention));
-        fit(&mut model, &samples, &samples[..20], 25, 6);
-        let src = &samples[0].src;
-        let beams = model.decode_beam(src, 4);
-        assert!(!beams.is_empty() && beams.len() <= 4);
-        // Scores are descending.
-        for w in beams.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        // Beam width 1 ≈ greedy (same sequence).
-        let greedy = model.decode(src);
-        let beam1 = model.decode_beam(src, 1);
-        assert_eq!(beam1[0].0, greedy);
-        // The greedy sequence appears in a wider beam.
-        assert!(beams.iter().any(|(s, _)| *s == greedy));
-    }
-
-    #[test]
     fn early_stopping_stops() {
         let samples = toy_samples(20, 12, 4);
         let mut model = Seq2Seq::new(tiny_cfg(ModelVariant::Basic));
@@ -808,7 +686,7 @@ mod tests {
     fn out_of_range_tokens_are_clamped() {
         let model = Seq2Seq::new(tiny_cfg(ModelVariant::Copy));
         // Token 999 exceeds the vocab; must not panic.
-        let loss = model.loss(&Sample { src: vec![999, 5], tgt: vec![999] });
+        let loss = model.evaluate(&[Sample { src: vec![999, 5], tgt: vec![999] }]);
         assert!(loss.is_finite());
         let _ = model.decode(&[999]);
     }

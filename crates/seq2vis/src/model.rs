@@ -130,26 +130,6 @@ impl Nl2VisPredictor for Seq2Vis {
         let filled = fill_values(&masked, nl);
         parse_vql(&filled).ok()
     }
-
-    /// Beam-search top-k (an extension over the paper's greedy decoder);
-    /// unparseable beams are dropped.
-    fn predict_top_k(&self, nl: &str, db: &Database, k: usize) -> Vec<VisQuery> {
-        if k == 0 {
-            return vec![];
-        }
-        let src = self.vocab.encode(&source_tokens(nl, db));
-        let mut out = Vec::new();
-        for (ids, _score) in self.model.decode_beam(&src, k) {
-            let masked = self.vocab.decode(&ids);
-            let filled = fill_values(&masked, nl);
-            if let Ok(tree) = parse_vql(&filled) {
-                if !out.contains(&tree) {
-                    out.push(tree);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

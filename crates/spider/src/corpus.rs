@@ -39,17 +39,6 @@ impl CorpusConfig {
             query_cfg: QueryGenConfig { n_pairs: 12, ..Default::default() },
         }
     }
-
-    /// Paper-scale: 153 databases, ~66 pairs each → ~10k (NL, SQL) pairs
-    /// (Spider contributes 10,181).
-    pub fn paper_scale(seed: u64) -> CorpusConfig {
-        CorpusConfig {
-            n_databases: 153,
-            pairs_per_db: 66,
-            seed,
-            query_cfg: QueryGenConfig { n_pairs: 66, ..Default::default() },
-        }
-    }
 }
 
 /// The generated corpus.

@@ -16,5 +16,5 @@ pub mod smoother;
 
 pub use edits::{attr_ctype, generate_candidates, strip_order, VisCandidate};
 pub use filter::{filter_candidates, FilterStats, GoodVis};
-pub use nledit::{describe_data_part, NlResult, NlSynthesizer};
-pub use smoother::{normalize, smooth};
+pub use nledit::{NlResult, NlSynthesizer};
+pub use smoother::smooth;

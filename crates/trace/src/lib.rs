@@ -298,14 +298,6 @@ impl TraceReport {
         self.spans.iter().find(|(k, _)| k == path).map(|(_, v)| *v)
     }
 
-    /// All counters whose name starts with `prefix`, in sorted order.
-    pub fn counters_with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, u64)> {
-        self.counters
-            .iter()
-            .filter(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Build the `nv-trace/v1` JSON document. The vendored serde has no
     /// map impls, so the object is assembled by hand — which also keeps
     /// key order identical to the sorted report.

@@ -4,7 +4,7 @@
 #   scripts/ci.sh                  # everything (build, tests, vendor,
 #                                  # faults, warnings, doc, differential,
 #                                  # golden, trace, gradcheck, nvperf,
-#                                  # quick)
+#                                  # quick, examples)
 #   scripts/ci.sh vendor           # the vendored crates' own unit tests
 #                                  # (vendor/ is outside the workspace)
 #   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
@@ -20,6 +20,8 @@
 #                                  # tiny checked smoke run of every workload
 #   scripts/ci.sh quick            # `reproduce quick` against its golden
 #   scripts/ci.sh quick --bless    # regenerate that golden, then re-verify
+#   scripts/ci.sh examples         # run the fast examples in release, and
+#                                  # custom_data on a ragged CSV (exit 1)
 #
 # The differential stage runs every generated query through the executor's
 # one entry point, `execute_with`, three ways (no cache, cache-cold,
@@ -93,6 +95,28 @@ run_quick() {
   diff -u "$golden" <(quick_output)
 }
 
+# The examples are runtime surfaces too; the two that train models
+# (covid_dashboard, nl2vis_comparison) take minutes and are left out.
+run_examples() {
+  echo "=== examples: quickstart, custom_data, benchmark_synthesis (release) ==="
+  cargo build --release -q --example quickstart --example custom_data \
+    --example benchmark_synthesis
+  for ex in quickstart custom_data benchmark_synthesis; do
+    echo "--- $ex ---"
+    "target/release/examples/$ex" > /dev/null
+  done
+  echo "--- custom_data on a ragged CSV: must exit 1 with 'could not load CSV:' ---"
+  local ragged out status=0
+  ragged="$(mktemp)"
+  printf 'a,b\n1,2\n3\n' > "$ragged"
+  out="$(target/release/examples/custom_data "$ragged" 2>&1)" || status=$?
+  rm -f "$ragged"
+  if [[ $status -ne 1 || "$out" != *"could not load CSV:"* ]]; then
+    echo "expected exit 1 and 'could not load CSV:', got exit $status: $out" >&2
+    return 1
+  fi
+}
+
 run_nvperf() {
   echo "=== nvperf: harness tests + checked smoke run of every workload ==="
   cargo test --release --offline --manifest-path nvperf/Cargo.toml
@@ -131,47 +155,54 @@ case "$stage" in
     run_quick "${2:-}"
     exit 0
     ;;
+  examples)
+    run_examples
+    exit 0
+    ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]]" >&2
+    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/12] cargo build --release ==="
+echo "=== [1/13] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/12] cargo test -q (every workspace crate) ==="
+echo "=== [2/13] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/12] vendored crates' unit tests ==="
+echo "=== [3/13] vendored crates' unit tests ==="
 run_vendor
 
-echo "=== [4/12] fault-injection harness ==="
+echo "=== [4/13] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [5/12] warnings-clean (whole workspace, all targets) ==="
+echo "=== [5/13] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [6/12] warnings-clean rustdoc ==="
+echo "=== [6/13] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [7/12] differential oracle ==="
+echo "=== [7/13] differential oracle ==="
 run_differential
 
-echo "=== [8/12] golden snapshots ==="
+echo "=== [8/13] golden snapshots ==="
 run_golden
 
-echo "=== [9/12] trace observability gate ==="
+echo "=== [9/13] trace observability gate ==="
 run_trace
 
-echo "=== [10/12] training-kernel gradcheck + determinism gate ==="
+echo "=== [10/13] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [11/12] benchmark harness (nvperf) ==="
+echo "=== [11/13] benchmark harness (nvperf) ==="
 run_nvperf
 
-echo "=== [12/12] reproduce quick golden ==="
+echo "=== [12/13] reproduce quick golden ==="
 run_quick
+
+echo "=== [13/13] examples ==="
+run_examples
 
 echo "=== CI green ==="
