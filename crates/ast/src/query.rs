@@ -183,6 +183,19 @@ impl AggFunc {
         }
     }
 
+    /// The aggregate as an English phrase for generated questions
+    /// ("the average price", "the number of orders").
+    pub fn nl_word(self) -> &'static str {
+        match self {
+            AggFunc::Avg => "average",
+            AggFunc::Sum => "total",
+            AggFunc::Max => "maximum",
+            AggFunc::Min => "minimum",
+            AggFunc::Count => "number of",
+            AggFunc::None => "",
+        }
+    }
+
     pub fn from_keyword(s: &str) -> Option<AggFunc> {
         Some(match s {
             "max" => AggFunc::Max,

@@ -22,7 +22,6 @@ impl Scale {
                 n_databases: 6,
                 pairs_per_db: 25,
                 seed: 42,
-                query_cfg: Default::default(),
             },
             // Scaled to single-core CPU-minutes (nvBench itself has 153
             // databases / 25,750 pairs; the scaling is noted in
@@ -31,7 +30,6 @@ impl Scale {
                 n_databases: 24,
                 pairs_per_db: 35,
                 seed: 42,
-                query_cfg: Default::default(),
             },
         }
     }
@@ -100,7 +98,7 @@ impl Context {
         let mut qg = nvbench::spider::QueryGen::new(
             &covid,
             4242,
-            nvbench::spider::QueryGenConfig { n_pairs: n_covid_pairs, ..Default::default() },
+            nvbench::spider::QueryGenConfig { n_pairs: n_covid_pairs },
         );
         corpus.pairs.extend(qg.generate(corpus.pairs.len()));
         corpus.databases.push(covid);

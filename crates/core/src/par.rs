@@ -30,11 +30,9 @@ use std::time::Instant;
 
 /// Record the shape of one fan-out when tracing is armed.
 fn trace_job(items: usize, threads: usize) {
-    if nv_trace::enabled() {
-        nv_trace::count("par.jobs", 1);
-        nv_trace::count("par.tasks", items as u64);
-        nv_trace::gauge_max("par.threads", threads as u64);
-    }
+    nv_trace::count("par.jobs", 1);
+    nv_trace::count("par.tasks", items as u64);
+    nv_trace::gauge_max("par.threads", threads as u64);
 }
 
 /// Record how deep the shared queue still is at the moment index `i` is
@@ -42,9 +40,7 @@ fn trace_job(items: usize, threads: usize) {
 /// depth seen by the very first dequeue — but recording every claim keeps
 /// the probe honest if the scheduling strategy ever changes.
 fn trace_queue_depth(items: usize, i: usize) {
-    if nv_trace::enabled() {
-        nv_trace::gauge_max("par.queue.peak_depth", items.saturating_sub(i) as u64);
-    }
+    nv_trace::gauge_max("par.queue.peak_depth", items.saturating_sub(i) as u64);
 }
 
 /// Report one item's time both pool-wide (`par/task`) and per worker
@@ -60,13 +56,11 @@ fn trace_task(worker: usize, elapsed_us: u64) {
 /// Count a caught panic and (if the worker's private state was rebuilt or
 /// the worker retired) the replacement event that followed it.
 fn trace_panic_outcome(rebuilt: bool) {
-    if nv_trace::enabled() {
-        nv_trace::count("par.panics", 1);
-        if rebuilt {
-            nv_trace::count("par.worker_replacements", 1);
-        } else {
-            nv_trace::count("par.worker_retirements", 1);
-        }
+    nv_trace::count("par.panics", 1);
+    if rebuilt {
+        nv_trace::count("par.worker_replacements", 1);
+    } else {
+        nv_trace::count("par.worker_retirements", 1);
     }
 }
 

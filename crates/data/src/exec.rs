@@ -561,11 +561,9 @@ impl Exec<'_> {
         };
 
         let (scan, scan_key) = self.scan(db, body, &where_p)?;
-        if nv_trace::enabled() {
-            // Counted on hits and misses alike, so the total is independent
-            // of cache state and thread partitioning.
-            nv_trace::count("data.exec.scan_rows", scan.rows.len() as u64);
-        }
+        // Counted on hits and misses alike, so the total is independent of
+        // cache state and thread partitioning.
+        nv_trace::count("data.exec.scan_rows", scan.rows.len() as u64);
 
         // Grouping plan.
         let explicit_group = body.group.clone().filter(|g| !g.is_empty());

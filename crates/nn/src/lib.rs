@@ -8,9 +8,9 @@
 //!   canonical fixed-order reduction;
 //! * [`autograd`] — a tape-based reverse-mode autograd whose op set is
 //!   exactly the seq2seq working set (fused LSTM gate step, attention,
-//!   softmax, pointer-copy scatter), with numerically-checked gradients, a
-//!   buffer-recycling arena, and a [`autograd::KernelPolicy`] selecting the
-//!   fast fused path or the unfused naive-oracle twin (bit-identical);
+//!   softmax, pointer-copy scatter), with numerically-checked gradients,
+//!   one fresh tape per sample, and a [`autograd::KernelPolicy`] selecting
+//!   the fast fused path or the unfused naive-oracle twin (bit-identical);
 //! * [`seq2seq`] — bi-LSTM encoder / LSTM decoder with three variants
 //!   (basic, +attention, +copying), Adam, clipping, teacher forcing,
 //!   early stopping and greedy decoding; batch members fan out over

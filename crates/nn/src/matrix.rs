@@ -33,9 +33,8 @@
 //!   `out[i][j] += g[i]·x[j]` loop.
 //!
 //! No model op multiplies by a matrix of more than one column, so every
-//! other shape writes the [`reference`](mod@reference) kernel's result.
-//! `*_into` variants write into a caller-provided matrix so the autograd
-//! tape can recycle buffers instead of allocating per op.
+//! other shape returns the [`reference`](mod@reference) kernel's result.
+//! Every product returns a freshly allocated matrix.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -97,7 +96,7 @@ fn dot4(rows: &[f32], x: &[f32]) -> [f32; 4] {
     s
 }
 
-/// The matvec sweep shared by [`Matrix::matmul_into`] and
+/// The matvec sweep shared by [`Matrix::matmul`] and
 /// [`Matrix::matvec_acc`]: `emit(&mut out[i], dot(w_row_i, x))` for every
 /// row of the row-major `w` (row length `x.len()`). Full blocks of four
 /// rows go through [`dot4`]; the `rows % 4` remainder rows call [`dot`].
@@ -177,9 +176,7 @@ thread_local! {
 /// Count one GEMM's multiply-adds (2 flops each) when tracing is armed.
 #[inline]
 fn trace_flops(m: usize, k: usize, n: usize) {
-    if nv_trace::enabled() {
-        nv_trace::count("nn.gemm.flops", 2 * (m * k * n) as u64);
-    }
+    nv_trace::count("nn.gemm.flops", 2 * (m * k * n) as u64);
 }
 
 /// Dense row-major matrix.
@@ -229,78 +226,52 @@ impl Matrix {
         self.rows == other.rows && self.cols == other.cols
     }
 
-    /// `self × other`. Allocating wrapper over [`Self::matmul_into`].
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// `self × other` into a pre-shaped output (fully overwritten). The
-    /// matrix-×-column-vector case (the seq2seq hot path) takes the
-    /// four-row `dot4` matvec path; any other shape writes
+    /// `self × other`. The matrix-×-column-vector case (the seq2seq hot
+    /// path) takes the four-row `dot4` matvec path; any other shape returns
     /// [`reference::matmul`]'s result.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} × {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        debug_assert!(out.rows == self.rows && out.cols == other.cols);
         trace_flops(self.rows, self.cols, other.cols);
-        if other.cols == 1 {
-            matvec_rows(&self.data, &other.data, &mut out.data[..self.rows], |o, d| *o = d);
-        } else {
-            *out = reference::matmul(self, other);
+        if other.cols != 1 {
+            return reference::matmul(self, other);
         }
+        let mut out = Matrix::zeros(self.rows, 1);
+        matvec_rows(&self.data, &other.data, &mut out.data, |o, d| *o = d);
+        out
     }
 
-    /// `selfᵀ × other`. Allocating wrapper over [`Self::matmul_tn_into`].
+    /// `selfᵀ × other` — the `Wᵀ g` backprop kernel. The matvec case
+    /// streams `self` row by row through `matvec_tn_rows` (four lane
+    /// accumulators per output in the thread-local scratch, no transpose);
+    /// any other shape returns [`reference::matmul_tn`]'s result.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// `selfᵀ × other` into a pre-shaped output (fully overwritten) — the
-    /// `Wᵀ g` backprop kernel. The matvec case streams `self` row by row
-    /// through `matvec_tn_rows` (four lane accumulators per output in the
-    /// thread-local scratch, no transpose); any other shape writes
-    /// [`reference::matmul_tn`]'s result.
-    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape");
-        debug_assert!(out.rows == self.cols && out.cols == other.cols);
         trace_flops(self.cols, self.rows, other.cols);
-        if other.cols == 1 {
-            let out = &mut out.data[..self.cols];
-            LANES.with(|l| matvec_tn_rows(&self.data, &other.data, out, &mut l.borrow_mut()));
-        } else {
-            *out = reference::matmul_tn(self, other);
+        if other.cols != 1 {
+            return reference::matmul_tn(self, other);
         }
-    }
-
-    /// `self × otherᵀ`. Allocating wrapper over [`Self::matmul_nt_into`].
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_nt_into(other, &mut out);
+        let mut out = Matrix::zeros(self.cols, 1);
+        LANES.with(|l| matvec_tn_rows(&self.data, &other.data, &mut out.data, &mut l.borrow_mut()));
         out
     }
 
-    /// `self × otherᵀ` into a pre-shaped output (fully overwritten). The
-    /// shared-dimension-1 case (`g xᵀ`, an outer product) zero-fills and
-    /// accumulates, computing `0.0 + g_i·x_j` exactly as [`dot`] does for
-    /// one element (so a `-0.0` product comes out `+0.0`); any other shape
-    /// writes [`reference::matmul_nt`]'s result.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+    /// `self × otherᵀ`. The shared-dimension-1 case (`g xᵀ`, an outer
+    /// product) accumulates onto zeros, computing `0.0 + g_i·x_j` exactly
+    /// as [`dot`] does for one element (so a `-0.0` product comes out
+    /// `+0.0`); any other shape returns [`reference::matmul_nt`]'s result.
+    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape");
-        debug_assert!(out.rows == self.rows && out.cols == other.rows);
         trace_flops(self.rows, self.cols, other.rows);
-        if self.cols == 1 {
-            out.data.fill(0.0);
-            outer_acc(&mut out.data, &self.data, &other.data);
-        } else {
-            *out = reference::matmul_nt(self, other);
+        if self.cols != 1 {
+            return reference::matmul_nt(self, other);
         }
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        outer_acc(&mut out.data, &self.data, &other.data);
+        out
     }
 
     /// `self += g · xᵀ` — the weight-gradient outer product accumulated in
@@ -309,9 +280,7 @@ impl Matrix {
     /// match.
     pub fn rank1_acc(&mut self, g: &Matrix, x: &Matrix) {
         debug_assert!(g.data.len() == self.rows && x.data.len() == self.cols);
-        if nv_trace::enabled() {
-            nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols) as u64);
-        }
+        nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols) as u64);
         outer_acc(&mut self.data, &g.data, &x.data);
     }
 
@@ -577,28 +546,6 @@ mod tests {
                 assert!((nt.at(i, j) - s).abs() < 1e-6);
             }
         }
-    }
-
-    #[test]
-    fn into_variants_overwrite_stale_buffers() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let a = rand_mat(6, 5, &mut rng);
-        let b = rand_mat(5, 4, &mut rng);
-        let mut out = Matrix::from_vec(6, 4, vec![f32::NAN; 24]);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.data, a.matmul(&b).data);
-        let c = rand_mat(6, 4, &mut rng);
-        let mut out = Matrix::from_vec(5, 4, vec![f32::NAN; 20]);
-        a.matmul_tn_into(&c, &mut out); // aᵀ(6×5)ᵀ × c(6×4) = 5×4
-        assert_eq!(out.data, a.matmul_tn(&c).data);
-        let mut out = Matrix::from_vec(6, 6, vec![f32::NAN; 36]);
-        a.matmul_nt_into(&a, &mut out);
-        assert_eq!(out.data, a.matmul_nt(&a).data);
-        // The row-streamed `Wᵀg` matvec uses its output as lane 0.
-        let g = rand_mat(6, 1, &mut rng);
-        let mut out = Matrix::from_vec(5, 1, vec![f32::NAN; 5]);
-        a.matmul_tn_into(&g, &mut out);
-        assert_eq!(bits(&out), bits(&reference::matmul_tn(&a, &g)));
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {

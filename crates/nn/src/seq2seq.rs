@@ -10,8 +10,8 @@
 //!
 //! ## Training determinism
 //!
-//! Batch members fan out over [`nv_core::par::map_ordered`] (per-worker
-//! reusable tapes) and their per-sample [`GradSet`]s — returned in input
+//! Batch members fan out over [`nv_core::par::map_ordered`], one fresh
+//! tape per sample, and their per-sample [`GradSet`]s — returned in input
 //! order — merge through [`nv_core::par::tree_reduce`], a fixed pairwise
 //! tree. Training loss and final parameters are therefore **bit-identical
 //! across any `threads` setting**, and — because the fused fast kernels
@@ -338,11 +338,9 @@ impl Seq2Seq {
     }
 
     /// Teacher-forced per-token NLL nodes for one sample, recorded on
-    /// `tape` (which is reset first — workers reuse one tape across
-    /// samples so its buffer pool warms up).
+    /// `tape`.
     fn forward_token_losses(&self, tape: &mut Tape, sample: &Sample) -> Vec<T> {
         let store = &self.store;
-        tape.reset();
         let (enc_outputs, mut h, mut c) = self.encode(tape, &sample.src);
         let enc_mat = tape.concat_cols(store, &enc_outputs);
         let copy_rows = self.copy_rows(&sample.src);
@@ -388,20 +386,28 @@ impl Seq2Seq {
         sum / n as f64
     }
 
-    /// Forward + backward for one sample: its parameter gradients and
-    /// per-token loss. Public for the gradient-check harness.
+    /// The one training step for one sample: forward and backward on a
+    /// fresh tape, returning its parameter gradients and per-token loss.
+    /// `train_epoch` runs it for every batch member, and the gradient-check
+    /// harness calls it directly. A traced run counts the sample under
+    /// `nn.train.samples` and times the two halves as the
+    /// `nn.step/nn.forward` and `nn.step/nn.backward` spans.
     pub fn sample_grads(&self, sample: &Sample) -> (GradSet, f32) {
+        nv_trace::count("nn.train.samples", 1);
         let mut tape = self.fresh_tape();
-        let loss = self.forward_loss(&mut tape, sample);
-        let v = tape.value(&self.store, loss).data[0];
-        (tape.backward(&self.store, loss), v)
+        let (loss, v) = step_phase("nn.step/nn.forward", || {
+            let loss = self.forward_loss(&mut tape, sample);
+            (loss, tape.value(&self.store, loss).data[0])
+        });
+        let backward = || tape.backward(&self.store, loss);
+        (step_phase("nn.step/nn.backward", backward), v)
     }
 
     /// One epoch of mini-batch training over `samples` (already shuffled by
     /// the caller). Batch members fan out over the `nv-core::par` work
-    /// queue (each worker reuses one pooled tape); per-sample gradients
-    /// come back in input order and merge through a fixed pairwise tree, so
-    /// the result is bit-identical for any thread count. Returns the mean
+    /// queue through [`Seq2Seq::sample_grads`]; per-sample gradients come
+    /// back in input order and merge through a fixed pairwise tree, so the
+    /// result is bit-identical for any thread count. Returns the mean
     /// per-token loss. A traced run records one `nn.step` span per batch,
     /// with `nn.forward`/`nn.backward` children per sample and one
     /// `nn.optim` child for the merge, clip and Adam update.
@@ -410,27 +416,11 @@ impl Seq2Seq {
         let mut count = 0usize;
         let batch = self.cfg.batch.max(1);
         let threads = self.threads();
-        let kernel = self.cfg.kernel;
         for chunk in samples.chunks(batch) {
             let _step = nv_trace::span("nn.step");
             self.store.zero_grads();
-            let model = &*self;
-            let results: Vec<(GradSet, f32)> = nv_core::par::map_ordered(
-                chunk,
-                threads,
-                || Tape::with_policy(kernel),
-                |tape, _i, sample| {
-                    if nv_trace::enabled() {
-                        nv_trace::count("nn.train.samples", 1);
-                    }
-                    let (loss, v) = step_phase("nn.step/nn.forward", || {
-                        let loss = model.forward_loss(tape, sample);
-                        (loss, tape.value(&model.store, loss).data[0])
-                    });
-                    let backward = || tape.backward(&model.store, loss);
-                    (step_phase("nn.step/nn.backward", backward), v)
-                },
-            );
+            let results: Vec<(GradSet, f32)> =
+                nv_core::par::map_ordered(chunk, threads, || (), |_, _, s| self.sample_grads(s));
             let mut grad_sets = Vec::with_capacity(results.len());
             for (gs, v) in results {
                 grad_sets.push(gs);
@@ -455,22 +445,18 @@ impl Seq2Seq {
     }
 
     /// Mean loss over a validation set. Samples fan out over the
-    /// `nv-core::par` work queue (one pooled tape per worker) and their
+    /// `nv-core::par` work queue (one fresh tape per sample) and their
     /// losses are summed in input order, so the value is bit-identical for
     /// any thread count.
     pub fn evaluate(&self, samples: &[Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
-        let losses = nv_core::par::map_ordered(
-            samples,
-            self.threads(),
-            || self.fresh_tape(),
-            |tape, _i, s| {
-                let loss = self.forward_loss(tape, s);
-                tape.value(&self.store, loss).data[0]
-            },
-        );
+        let losses = nv_core::par::map_ordered(samples, self.threads(), || (), |_, _, s| {
+            let mut tape = self.fresh_tape();
+            let loss = self.forward_loss(&mut tape, s);
+            tape.value(&self.store, loss).data[0]
+        });
         let sum: f32 = losses.into_iter().sum();
         sum / samples.len() as f32
     }
@@ -509,8 +495,8 @@ impl Seq2Seq {
 }
 
 /// Run one phase of a training step and record it under the child span
-/// `path` of `nn.step`. Samples run on pool workers, whose span stacks do
-/// not hold the caller's `nn.step`, so the path is given in full.
+/// `path` of `nn.step`. Samples run on `nv-core::par` workers, whose span
+/// stacks do not hold the caller's `nn.step`, so the path is given in full.
 fn step_phase<R>(path: &str, phase: impl FnOnce() -> R) -> R {
     if !nv_trace::enabled() {
         return phase();

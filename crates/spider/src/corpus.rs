@@ -15,7 +15,6 @@ pub struct CorpusConfig {
     /// (NL, SQL) pairs per database (Spider averages ~50/db).
     pub pairs_per_db: usize,
     pub seed: u64,
-    pub query_cfg: QueryGenConfig,
 }
 
 impl Default for CorpusConfig {
@@ -24,7 +23,6 @@ impl Default for CorpusConfig {
             n_databases: 30,
             pairs_per_db: 40,
             seed: 42,
-            query_cfg: QueryGenConfig::default(),
         }
     }
 }
@@ -32,12 +30,7 @@ impl Default for CorpusConfig {
 impl CorpusConfig {
     /// A small configuration for unit tests and examples.
     pub fn small(seed: u64) -> CorpusConfig {
-        CorpusConfig {
-            n_databases: 4,
-            pairs_per_db: 12,
-            seed,
-            query_cfg: QueryGenConfig { n_pairs: 12, ..Default::default() },
-        }
+        CorpusConfig { n_databases: 4, pairs_per_db: 12, seed }
     }
 }
 
@@ -57,8 +50,7 @@ impl SpiderCorpus {
         for i in 0..cfg.n_databases {
             let tpl = &templates[i % templates.len()];
             let db = generate_database(tpl, i, cfg.seed);
-            let mut qcfg = cfg.query_cfg.clone();
-            qcfg.n_pairs = cfg.pairs_per_db;
+            let qcfg = QueryGenConfig { n_pairs: cfg.pairs_per_db };
             let mut qg = QueryGen::new(&db, cfg.seed ^ (i as u64 + 1), qcfg);
             pairs.extend(qg.generate(pairs.len()));
             databases.push(db);
@@ -127,12 +119,7 @@ mod tests {
 
     #[test]
     fn templates_cycle_past_library_size() {
-        let cfg = CorpusConfig {
-            n_databases: 20,
-            pairs_per_db: 2,
-            seed: 9,
-            query_cfg: QueryGenConfig { n_pairs: 2, ..Default::default() },
-        };
+        let cfg = CorpusConfig { n_databases: 20, pairs_per_db: 2, seed: 9 };
         let c = SpiderCorpus::generate(&cfg);
         assert_eq!(c.databases.len(), 20);
         // Same template instantiated twice must differ in name and data.

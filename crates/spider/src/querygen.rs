@@ -25,32 +25,27 @@ pub struct SpiderPair {
     pub sql: String,
 }
 
-/// Query-shape weights; the defaults yield a Spider-like difficulty mix.
+// Query-shape weights, chosen for a Spider-like difficulty mix.
+/// Probability of a two-table join (when a FK exists).
+const P_JOIN: f64 = 0.28;
+/// Probability of attaching a WHERE filter.
+const P_FILTER: f64 = 0.45;
+/// Probability of an ORDER BY / LIMIT tail on detail queries.
+const P_ORDER: f64 = 0.30;
+/// Probability of a set-operation query.
+const P_SETOP: f64 = 0.06;
+/// Probability of a nested IN-subquery filter.
+const P_NESTED: f64 = 0.08;
+
+/// Generator configuration: how many pairs to emit.
 #[derive(Debug, Clone)]
 pub struct QueryGenConfig {
     pub n_pairs: usize,
-    /// Probability of a two-table join (when a FK exists).
-    pub p_join: f64,
-    /// Probability of attaching a WHERE filter.
-    pub p_filter: f64,
-    /// Probability of an ORDER BY / LIMIT tail on detail queries.
-    pub p_order: f64,
-    /// Probability of a set-operation query.
-    pub p_setop: f64,
-    /// Probability of a nested IN-subquery filter.
-    pub p_nested: f64,
 }
 
 impl Default for QueryGenConfig {
     fn default() -> Self {
-        QueryGenConfig {
-            n_pairs: 40,
-            p_join: 0.28,
-            p_filter: 0.45,
-            p_order: 0.30,
-            p_setop: 0.06,
-            p_nested: 0.08,
-        }
+        QueryGenConfig { n_pairs: 40 }
     }
 }
 
@@ -95,9 +90,9 @@ impl<'a> QueryGen<'a> {
 
     fn one_query(&mut self) -> Option<(String, VisQuery)> {
         let roll: f64 = self.rng.random();
-        if roll < self.cfg.p_setop {
+        if roll < P_SETOP {
             self.setop_query()
-        } else if roll < self.cfg.p_setop + self.cfg.p_nested {
+        } else if roll < P_SETOP + P_NESTED {
             self.nested_query()
         } else {
             let shape: f64 = self.rng.random();
@@ -205,14 +200,14 @@ impl<'a> QueryGen<'a> {
         );
         let mut phrases: Vec<String> = Vec::new();
 
-        if self.rng.random::<f64>() < self.cfg.p_filter {
+        if self.rng.random::<f64>() < P_FILTER {
             if let Some((pred, phrase)) = self.make_filter(table) {
                 body.filter = Some(pred);
                 phrases.push(phrase);
             }
         }
         let mut tail = String::new();
-        if self.rng.random::<f64>() < self.cfg.p_order {
+        if self.rng.random::<f64>() < P_ORDER {
             if let Some(ocol) = self.pick_from(&quants) {
                 if self.rng.random::<f64>() < 0.5 {
                     let dir = if self.rng.random::<f64>() < 0.5 {
@@ -312,7 +307,7 @@ impl<'a> QueryGen<'a> {
                 phrases.push(phrase);
             }
         }
-        if self.rng.random::<f64>() < self.cfg.p_filter {
+        if self.rng.random::<f64>() < P_FILTER {
             if let Some((pred, phrase)) = self.make_filter(table) {
                 body.filter = Predicate::and_opt(body.filter.take(), Some(pred));
                 phrases.push(phrase);
@@ -362,16 +357,12 @@ impl<'a> QueryGen<'a> {
             if let Some(q2) = self.pick_from(&quants) {
                 let agg2 = self.pick_from(&[AggFunc::Avg, AggFunc::Max, AggFunc::Min]).unwrap();
                 select.push(Attr::agg(agg2, tname.clone(), q2.clone()));
-                extra_phrase = format!(
-                    " and the {} {}",
-                    agg_word(agg2),
-                    display(&q2)
-                );
+                extra_phrase = format!(" and the {} {}", agg2.nl_word(), display(&q2));
             }
         }
         let mut body = QueryBody::simple(tname.clone(), select);
         let mut phrases = Vec::new();
-        if self.rng.random::<f64>() < self.cfg.p_filter {
+        if self.rng.random::<f64>() < P_FILTER {
             if let Some((pred, phrase)) = self.make_filter(table) {
                 body.filter = Some(pred);
                 phrases.push(phrase);
@@ -379,7 +370,7 @@ impl<'a> QueryGen<'a> {
         }
         let nl = format!(
             "What is the {} {}{} across all {}{}?",
-            agg_word(agg),
+            agg.nl_word(),
             display(&q),
             extra_phrase,
             plural(&display(&tname)),
@@ -474,7 +465,7 @@ impl<'a> QueryGen<'a> {
     fn maybe_join(
         &mut self,
     ) -> Option<(&'a Table, Option<(String, JoinCond, Option<(Predicate, String)>)>)> {
-        if self.rng.random::<f64>() < self.cfg.p_join && !self.db.foreign_keys.is_empty() {
+        if self.rng.random::<f64>() < P_JOIN && !self.db.foreign_keys.is_empty() {
             let fk = self.pick_from(&self.db.foreign_keys.clone())?;
             let child = self.db.table(&fk.from_table)?;
             let jc = JoinCond {
@@ -619,17 +610,6 @@ fn lit_phrase(l: &Literal) -> String {
     l.to_token()
 }
 
-fn agg_word(a: AggFunc) -> &'static str {
-    match a {
-        AggFunc::Avg => "average",
-        AggFunc::Sum => "total",
-        AggFunc::Max => "maximum",
-        AggFunc::Min => "minimum",
-        AggFunc::Count => "number of",
-        AggFunc::None => "",
-    }
-}
-
 /// Human display name of an identifier: underscores become spaces.
 pub fn display(ident: &str) -> String {
     ident.replace('_', " ")
@@ -663,7 +643,7 @@ mod tests {
     #[test]
     fn generates_requested_count() {
         let d = db();
-        let mut g = QueryGen::new(&d, 1, QueryGenConfig { n_pairs: 30, ..Default::default() });
+        let mut g = QueryGen::new(&d, 1, QueryGenConfig { n_pairs: 30 });
         let pairs = g.generate(100);
         assert_eq!(pairs.len(), 30);
         assert_eq!(pairs[0].id, 100);
@@ -673,7 +653,7 @@ mod tests {
     #[test]
     fn pairs_parse_and_execute() {
         let d = db();
-        let mut g = QueryGen::new(&d, 2, QueryGenConfig { n_pairs: 50, ..Default::default() });
+        let mut g = QueryGen::new(&d, 2, QueryGenConfig { n_pairs: 50 });
         for p in g.generate(0) {
             let ast = parse_sql(&d, &p.sql).unwrap_or_else(|e| panic!("{}: {e}", p.sql));
             nv_data::execute(&d, &ast).unwrap_or_else(|e| panic!("{}: {e}", p.sql));
@@ -685,7 +665,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let d = db();
-        let cfg = QueryGenConfig { n_pairs: 10, ..Default::default() };
+        let cfg = QueryGenConfig { n_pairs: 10 };
         let a = QueryGen::new(&d, 7, cfg.clone()).generate(0);
         let b = QueryGen::new(&d, 7, cfg.clone()).generate(0);
         assert_eq!(a, b);
@@ -696,7 +676,7 @@ mod tests {
     #[test]
     fn corpus_covers_clause_space() {
         let d = db();
-        let cfg = QueryGenConfig { n_pairs: 120, ..Default::default() };
+        let cfg = QueryGenConfig { n_pairs: 120 };
         let pairs = QueryGen::new(&d, 3, cfg).generate(0);
         let any = |f: &dyn Fn(&str) -> bool| pairs.iter().any(|p| f(&p.sql));
         assert!(any(&|s| s.contains("GROUP BY")), "no grouping");
@@ -715,7 +695,7 @@ mod tests {
     #[test]
     fn nl_mentions_aggregation_words() {
         let d = db();
-        let cfg = QueryGenConfig { n_pairs: 60, ..Default::default() };
+        let cfg = QueryGenConfig { n_pairs: 60 };
         let pairs = QueryGen::new(&d, 4, cfg).generate(0);
         let with_group: Vec<&SpiderPair> =
             pairs.iter().filter(|p| p.sql.contains("GROUP BY")).collect();

@@ -20,7 +20,7 @@ pub fn ks_statistic(values: &[f64], dist: &Dist) -> f64 {
 }
 
 /// 5%-level KS critical value (asymptotic): `1.358 / √n`.
-pub fn ks_critical(n: usize, _alpha: f64) -> f64 {
+pub fn ks_critical(n: usize) -> f64 {
     1.358 / (n as f64).sqrt()
 }
 
@@ -95,7 +95,7 @@ pub struct FitResult {
 
 /// Fit a sample against all six families and pick the best passing one.
 pub fn fit_best(values: &[f64]) -> FitResult {
-    let critical = ks_critical(values.len().max(1), 0.05);
+    let critical = ks_critical(values.len().max(1));
     let mut statistics = Vec::new();
     for fam in DistFamily::ALL {
         if let Some(dist) = estimate(fam, values) {
@@ -126,7 +126,7 @@ mod tests {
         let d = Dist::Normal { mean: 5.0, sd: 2.0 };
         let sample = d.sample_n(&mut r, 500);
         let stat = ks_statistic(&sample, &d);
-        assert!(stat < ks_critical(500, 0.05), "D = {stat}");
+        assert!(stat < ks_critical(500), "D = {stat}");
     }
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
         let mut r = rng();
         let sample = Dist::Exponential { rate: 1.0 }.sample_n(&mut r, 500);
         let wrong = Dist::Uniform { lo: 0.0, hi: 10.0 };
-        assert!(ks_statistic(&sample, &wrong) > ks_critical(500, 0.05));
+        assert!(ks_statistic(&sample, &wrong) > ks_critical(500));
     }
 
     #[test]
@@ -181,6 +181,6 @@ mod tests {
 
     #[test]
     fn critical_value_shrinks_with_n() {
-        assert!(ks_critical(100, 0.05) > ks_critical(10_000, 0.05));
+        assert!(ks_critical(100) > ks_critical(10_000));
     }
 }

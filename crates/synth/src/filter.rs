@@ -73,12 +73,10 @@ pub fn filter_candidates(
             }
         }
     }
-    if nv_trace::enabled() {
-        nv_trace::count("synth.filter.candidates", stats.total as u64);
-        nv_trace::count("synth.filter.kept", stats.kept as u64);
-        nv_trace::count("synth.filter.pruned", stats.pruned as u64);
-        nv_trace::count("synth.filter.failed_exec", stats.failed_exec as u64);
-    }
+    nv_trace::count("synth.filter.candidates", stats.total as u64);
+    nv_trace::count("synth.filter.kept", stats.kept as u64);
+    nv_trace::count("synth.filter.pruned", stats.pruned as u64);
+    nv_trace::count("synth.filter.failed_exec", stats.failed_exec as u64);
     Ok((good, stats))
 }
 

@@ -201,11 +201,9 @@ pub fn describe_data_part(db: &Database, tree: &VisQuery) -> String {
     let y = body.select.get(1);
     let y_phrase = match y {
         Some(a) if a.agg == AggFunc::Count => format!("how many {table} records"),
-        Some(a) if a.agg != AggFunc::None => format!(
-            "the {} {}",
-            agg_word(a.agg),
-            display(&a.col.column)
-        ),
+        Some(a) if a.agg != AggFunc::None => {
+            format!("the {} {}", a.agg.nl_word(), display(&a.col.column))
+        }
         Some(a) => format!("the {}", display(&a.col.column)),
         None => format!("the {table} records"),
     };
@@ -290,17 +288,6 @@ fn operand_phrase(o: &Operand) -> String {
             .collect::<Vec<_>>()
             .join(" or "),
         Operand::Subquery(_) => "the matching subset".into(),
-    }
-}
-
-fn agg_word(a: AggFunc) -> &'static str {
-    match a {
-        AggFunc::Avg => "average",
-        AggFunc::Sum => "total",
-        AggFunc::Max => "maximum",
-        AggFunc::Min => "minimum",
-        AggFunc::Count => "number of",
-        AggFunc::None => "",
     }
 }
 

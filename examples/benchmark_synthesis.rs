@@ -10,7 +10,6 @@
 
 use nvbench::core::{table3, type_hardness_matrix, CostModel, CostReport, DatasetStats};
 use nvbench::prelude::*;
-use nvbench::spider::QueryGenConfig;
 
 fn main() {
     let n_databases: usize = std::env::args()
@@ -23,7 +22,6 @@ fn main() {
         n_databases,
         pairs_per_db: 30,
         seed: 42,
-        query_cfg: QueryGenConfig::default(),
     });
     println!(
         "  {} databases over {} domains, {} (nl, sql) pairs",

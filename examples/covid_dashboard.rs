@@ -16,10 +16,9 @@ fn main() {
         n_databases: 6,
         pairs_per_db: 25,
         seed: 42,
-        query_cfg: QueryGenConfig::default(),
     });
     let covid = covid_database(42);
-    let mut qg = QueryGen::new(&covid, 4242, QueryGenConfig { n_pairs: 25, ..Default::default() });
+    let mut qg = QueryGen::new(&covid, 4242, QueryGenConfig { n_pairs: 25 });
     corpus.pairs.extend(qg.generate(corpus.pairs.len()));
     corpus.databases.push(covid);
 

@@ -15,7 +15,6 @@ fn main() {
         n_databases: 8,
         pairs_per_db: 30,
         seed: 42,
-        query_cfg: Default::default(),
     });
     let bench = Nl2SqlToNl2Vis::new(SynthesizerConfig::default()).synthesize_corpus(&corpus).bench;
     let split = bench.split(42);

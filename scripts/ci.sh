@@ -20,8 +20,10 @@
 #                                  # tiny checked smoke run of every workload
 #   scripts/ci.sh quick            # `reproduce quick` against its golden
 #   scripts/ci.sh quick --bless    # regenerate that golden, then re-verify
-#   scripts/ci.sh examples         # run the fast examples in release, and
-#                                  # custom_data on a ragged CSV (exit 1)
+#   scripts/ci.sh examples         # run the fast examples in release,
+#                                  # custom_data on a ragged CSV (exit 1),
+#                                  # a one-epoch train_probe smoke run and
+#                                  # train_probe on a bad variant (exit 2)
 #
 # The differential stage runs every generated query through the executor's
 # one entry point, `execute_with`, three ways (no cache, cache-cold,
@@ -97,6 +99,7 @@ run_quick() {
 
 # The examples are runtime surfaces too; the two that train models
 # (covid_dashboard, nl2vis_comparison) take minutes and are left out.
+# train_probe stands in for them: one epoch on 16 pairs, a few seconds.
 run_examples() {
   echo "=== examples: quickstart, custom_data, benchmark_synthesis (release) ==="
   cargo build --release -q --example quickstart --example custom_data \
@@ -113,6 +116,16 @@ run_examples() {
   rm -f "$ragged"
   if [[ $status -ne 1 || "$out" != *"could not load CSV:"* ]]; then
     echo "expected exit 1 and 'could not load CSV:', got exit $status: $out" >&2
+    return 1
+  fi
+  echo "--- train_probe 1 16 basic ---"
+  cargo build --release -q -p nv-bench --bin train_probe
+  target/release/train_probe 1 16 basic > /dev/null
+  echo "--- train_probe on a misspelt variant: must exit 2 with its usage line ---"
+  status=0
+  out="$(target/release/train_probe 1 16 cpy 2>&1)" || status=$?
+  if [[ $status -ne 2 || "$out" != *"usage: train_probe"* ]]; then
+    echo "expected exit 2 and 'usage: train_probe', got exit $status: $out" >&2
     return 1
   fi
 }

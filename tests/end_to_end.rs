@@ -4,14 +4,12 @@
 use nvbench::core::{table3, CostModel, CostReport, DatasetStats};
 use nvbench::prelude::*;
 use nvbench::quality::{ChartFeatures, DeepEyeFilter};
-use nvbench::spider::QueryGenConfig;
 
 fn small_bench(seed: u64) -> (SpiderCorpus, nvbench::core::NvBench) {
     let corpus = SpiderCorpus::generate(&CorpusConfig {
         n_databases: 5,
         pairs_per_db: 20,
         seed,
-        query_cfg: QueryGenConfig::default(),
     });
     let bench = Nl2SqlToNl2Vis::new(SynthesizerConfig::default()).synthesize_corpus(&corpus).bench;
     (corpus, bench)
