@@ -36,7 +36,7 @@
 //! usage to stderr and exits with status 2 before any work starts.
 
 use nv_bench::experiments::*;
-use nv_bench::{Context, Scale};
+use nv_bench::{outln, Context, Scale};
 use nvbench::core::SynthesizerConfig;
 use nvbench::data::ExecBudget;
 use std::time::Instant;
@@ -98,7 +98,7 @@ fn main() {
     let threads = threads.unwrap_or_else(nvbench::core::par::available_threads);
 
     let t0 = Instant::now();
-    println!("=== nvBench reproduction — scale {scale:?}, {threads} synthesis thread(s) ===\n");
+    outln!("=== nvBench reproduction — scale {scale:?}, {threads} synthesis thread(s) ===\n");
     if trace_path.is_some() {
         nvbench::trace::enable();
         nvbench::trace::reset();
@@ -107,7 +107,7 @@ fn main() {
         scale,
         SynthesizerConfig { threads, budget, ..Default::default() },
     );
-    println!(
+    outln!(
         "[setup] corpus: {} databases, {} (nl,sql) pairs → benchmark: {} vis, {} (nl,vis) pairs ({:.1}s)\n",
         ctx.corpus.databases.len(),
         ctx.corpus.pairs.len(),
@@ -116,22 +116,22 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     if !ctx.quarantine.is_empty() {
-        println!(
+        outln!(
             "[quarantine] {} pair(s) failed synthesis and were isolated:",
             ctx.quarantine.len()
         );
         for q in ctx.quarantine.iter().take(10) {
-            println!("  pair {} (db {}) at {}: {}", q.pair_id, q.db_name, q.stage.label(), q.error);
+            outln!("  pair {} (db {}) at {}: {}", q.pair_id, q.db_name, q.stage.label(), q.error);
         }
         if ctx.quarantine.len() > 10 {
-            println!("  … and {} more", ctx.quarantine.len() - 10);
+            outln!("  … and {} more", ctx.quarantine.len() - 10);
         }
         match serde_json::to_string_pretty(&ctx.quarantine) {
             Ok(json) => match std::fs::write(&quarantine_path, json) {
-                Ok(()) => println!("[quarantine] ledger written to {quarantine_path}\n"),
-                Err(e) => println!("[quarantine] could not write {quarantine_path}: {e}\n"),
+                Ok(()) => outln!("[quarantine] ledger written to {quarantine_path}\n"),
+                Err(e) => outln!("[quarantine] could not write {quarantine_path}: {e}\n"),
             },
-            Err(e) => println!("[quarantine] could not serialize ledger: {e}\n"),
+            Err(e) => outln!("[quarantine] could not serialize ledger: {e}\n"),
         }
     }
 
@@ -140,11 +140,11 @@ fn main() {
         nvbench::trace::disable();
         let report = nvbench::trace::report();
         match std::fs::write(path, report.to_json_string_pretty()) {
-            Ok(()) => println!("[trace] trace report written to {path}"),
-            Err(e) => println!("[trace] could not write {path}: {e}"),
+            Ok(()) => outln!("[trace] trace report written to {path}"),
+            Err(e) => outln!("[trace] could not write {path}: {e}"),
         }
     }
-    println!("=== total {:.1}s ===", t0.elapsed().as_secs_f64());
+    outln!("=== total {:.1}s ===", t0.elapsed().as_secs_f64());
 }
 
 /// Every paper section after setup: the data sections, then (unless
@@ -164,15 +164,15 @@ fn paper_sections(ctx: &Context, scale: Scale, data_only: bool) {
     section("ablation", || exp_ablation(ctx));
 
     if data_only {
-        println!("(skipping model training: 'data' flag)");
+        outln!("(skipping model training: 'data' flag)");
         return;
     }
 
     let t1 = Instant::now();
-    println!("----------------------------------------------------------------");
-    println!("[training] three seq2vis variants…");
+    outln!("----------------------------------------------------------------");
+    outln!("[training] three seq2vis variants…");
     let reports = train_and_evaluate(ctx, scale);
-    println!("[training] done in {:.1}s\n", t1.elapsed().as_secs_f64());
+    outln!("[training] done in {:.1}s\n", t1.elapsed().as_secs_f64());
 
     section("fig17", || exp_fig17(&reports));
     section("table4", || exp_table4(&reports));
@@ -186,9 +186,9 @@ fn paper_sections(ctx: &Context, scale: Scale, data_only: bool) {
 fn section(name: &str, body: impl FnOnce() -> String) {
     let t = Instant::now();
     let text = body();
-    println!("----------------------------------------------------------------");
-    println!("{text}");
-    println!("[{name}] {:.3}s", t.elapsed().as_secs_f64());
+    outln!("----------------------------------------------------------------");
+    outln!("{text}");
+    outln!("[{name}] {:.3}s", t.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]

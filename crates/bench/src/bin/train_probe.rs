@@ -10,7 +10,7 @@
 //! not parse, or a fourth word prints a one-line usage to stderr and exits
 //! with status 2 before any work starts.
 
-use nv_bench::{context, Scale};
+use nv_bench::{context, outln, Scale};
 use nvbench::core::Nl2VisPredictor;
 use nvbench::nn::ModelVariant;
 use nvbench::seq2vis::{evaluate, Seq2Vis, Seq2VisConfig};
@@ -60,7 +60,7 @@ fn main() {
     };
 
     let ctx = context(Scale::Quick);
-    println!(
+    outln!(
         "benchmark: {} vis / {} pairs; train {} val {} test {}",
         ctx.bench.vis_objects.len(),
         ctx.bench.pairs.len(),
@@ -75,14 +75,14 @@ fn main() {
         ..Seq2VisConfig::new(variant)
     };
     let (mut model, dataset) = Seq2Vis::prepare(&ctx.bench, cfg);
-    println!("vocab {} tokens, {} parameters", model.vocab.len(), model.n_parameters());
+    outln!("vocab {} tokens, {} parameters", model.vocab.len(), model.n_parameters());
 
     let train_idx: Vec<usize> = ctx.split.train.iter().copied().take(cap).collect();
     let train = dataset.subset(&train_idx);
     let val = dataset.subset(&ctx.split.val);
     let t0 = std::time::Instant::now();
     let report = model.train_on(&train, &val);
-    println!(
+    outln!(
         "trained {} epochs in {:.1}s; losses: {:?}",
         report.epochs_run,
         t0.elapsed().as_secs_f64(),
@@ -96,25 +96,25 @@ fn main() {
 
     let idx = ctx.test_idx(Scale::Quick);
     let eval = evaluate(&model, &ctx.bench, &idx);
-    println!(
+    outln!(
         "test: tree {:.1}% result {:.1}% over {} pairs",
         eval.tree_accuracy() * 100.0,
         eval.result_accuracy() * 100.0,
         eval.n()
     );
     let comp = eval.component_accuracy();
-    println!("components: {comp:?}");
+    outln!("components: {comp:?}");
 
     // Show a few predictions vs gold.
     for &pi in idx.iter().take(5) {
         let pair = &ctx.bench.pairs[pi];
         let vis = &ctx.bench.vis_objects[pair.vis_id];
         let db = ctx.bench.database(&vis.db_name).unwrap();
-        println!("\nNL  : {}", pair.nl);
-        println!("gold: {}", vis.vql);
+        outln!("\nNL  : {}", pair.nl);
+        outln!("gold: {}", vis.vql);
         match model.predict(&pair.nl, db) {
-            Some(t) => println!("pred: {}", t.to_vql()),
-            None => println!(
+            Some(t) => outln!("pred: {}", t.to_vql()),
+            None => outln!(
                 "pred: <unparseable> {:?}",
                 model.predict_tokens(&pair.nl, db).join(" ")
             ),

@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn borrows_captured_environment() {
-        let base = vec![10u64, 20, 30];
+        let base = [10u64, 20, 30];
         let items = [0usize, 1, 2, 1];
         let out = map_ordered(&items, 2, || (), |_, _, &i| base[i]);
         assert_eq!(out, vec![10, 20, 30, 20]);

@@ -827,8 +827,8 @@ mod tests {
         let analytic: Vec<Matrix> = store.grads.clone();
 
         let eps = 1e-3f32;
-        for pi in 0..store.mats.len() {
-            for j in 0..store.mats[pi].data.len() {
+        for (pi, analytic) in analytic.iter().enumerate() {
+            for j in 0..analytic.data.len() {
                 let orig = store.mats[pi].data[j];
                 store.mats[pi].data[j] = orig + eps;
                 let mut t1 = Tape::new();
@@ -840,7 +840,7 @@ mod tests {
                 let f2 = t2.value(store, l2).data[0];
                 store.mats[pi].data[j] = orig;
                 let numeric = (f1 - f2) / (2.0 * eps);
-                let a = analytic[pi].data[j];
+                let a = analytic.data[j];
                 assert!(
                     (numeric - a).abs() < tol * (1.0 + numeric.abs().max(a.abs())),
                     "param {pi}[{j}]: numeric {numeric} vs analytic {a}"

@@ -3,16 +3,25 @@
 //!
 //! ## The fixed reduction order
 //!
-//! Every kernel reduces along the shared dimension with [`dot`]: a 4-lane
-//! split accumulation (`acc[0..4]` over chunks of 4, lanes summed
-//! `0+1+2+3`, then a sequential tail). This is the crate's **canonical
-//! reduction order**. The fast kernels change *memory access* — four rows
-//! at a time, row-streamed lanes — but never the per-element summation
-//! order, so they are **bit-identical** to the straightforward reference
-//! kernels in [`reference`](mod@reference), which reduce with the same
-//! `dot` over explicitly gathered rows. `tests/train_determinism.rs` holds
-//! whole training runs to this equality, and the unit tests below hold
-//! every kernel to it shape-by-shape, bit for bit.
+//! Every kernel reduces along the shared dimension in [`dot`]'s order: a
+//! 4-lane split accumulation (element `4c + j` of the full chunks of 4 goes
+//! to lane `j`, multiply then add, no FMA), lanes summed `((0+1)+2)+3`, then
+//! a sequential tail. This is the crate's **canonical reduction order**,
+//! and it lives in one function, `dot_rows`, of which [`dot`] is the
+//! one-row case. The fast kernels change *memory access* — four rows at a
+//! time, row-streamed lanes — but never the per-element summation order, so
+//! they are **bit-identical** to the straightforward reference kernels in
+//! [`reference`](mod@reference), which reduce with the same `dot` over
+//! explicitly gathered rows. `tests/train_determinism.rs` holds whole
+//! training runs to this equality, and the unit tests below hold every
+//! kernel to it shape-by-shape, bit for bit.
+//!
+//! rustc does not vectorize the four lanes on its own at the default
+//! x86-64 target (it emits one scalar `mulss`/`addss` per lane), so on
+//! x86-64 the lanes are one SSE2 vector per row, written with
+//! `std::arch`. SSE2 is part of the x86-64 baseline, so this needs no
+//! runtime detection and no `target-cpu` flag; other targets run the same
+//! lanes as a scalar loop.
 //!
 //! ## Kernel shapes that matter
 //!
@@ -20,8 +29,8 @@
 //! (column-vector activations), and each has exactly one fast kernel:
 //!
 //! * `W·x` (`matmul` with one column, and `matvec_acc`) reduces four
-//!   weight rows at a time (`dot4`: four independent accumulator chains,
-//!   each in [`dot`]'s exact order).
+//!   weight rows at a time (`dot_rows::<4>`: four independent lane
+//!   vectors, each in [`dot`]'s exact order, sharing each load of `x`).
 //! * `Wᵀ·g` (`matmul_tn` with one column, backward's input gradient)
 //!   streams `W` row by row: each output keeps [`dot`]'s four lanes as
 //!   separate accumulator vectors, so the inner loop runs along a
@@ -40,72 +49,101 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::RefCell;
 
-/// Unrolled dot product — the canonical fixed-order reduction (4 lanes over
-/// chunks of 4, lanes summed in index order, sequential tail). The compiler
-/// auto-vectorizes the chunked part.
+/// Dot product in the canonical fixed reduction order (4 lanes over chunks
+/// of 4, lanes summed in index order, sequential tail): the one-row case of
+/// `dot_rows`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += a[i] * b[i];
-        acc[1] += a[i + 1] * b[i + 1];
-        acc[2] += a[i + 2] * b[i + 2];
-        acc[3] += a[i + 3] * b[i + 3];
-    }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        s += a[i] * b[i];
+    assert_eq!(a.len(), b.len(), "dot length");
+    dot_rows::<1>(a, b)[0]
+}
+
+/// `N` [`dot`]s at once: entry `r` is row `r` of the `N` contiguous
+/// length-`k` rows in `rows` (`k = x.len()`) against the shared column `x`.
+/// Each row gets its own four lane accumulators over the full chunks of 4
+/// (`lane_sums`), which are summed `((0+1)+2)+3`; the `k % 4` tail elements
+/// are then added in order. With `N = 4` the four rows' accumulator chains
+/// are independent, so the adds of one row no longer wait on the adds
+/// before them, and each chunk of `x` is loaded once for four rows.
+#[inline(always)]
+fn dot_rows<const N: usize>(rows: &[f32], x: &[f32]) -> [f32; N] {
+    let k = x.len();
+    let mut s = lane_sums::<N>(rows, x).map(|l| l[0] + l[1] + l[2] + l[3]);
+    for i in k / 4 * 4..k {
+        for (r, s) in s.iter_mut().enumerate() {
+            *s += rows[r * k + i] * x[i];
+        }
     }
     s
 }
 
-/// Four [`dot`]s at once: row `r` of the four contiguous length-`k` rows in
-/// `rows` (`k = x.len()`) against the shared column `x`. Each row keeps
-/// [`dot`]'s exact lane assignment and summation order, so `dot4(rows, x)[r]`
-/// is bit-identical to `dot(row_r, x)`; what changes is that the four rows'
-/// accumulator chains are independent, so the adds of one row no longer
-/// wait on the adds before them, and `x` is loaded once for four rows.
-#[inline]
-fn dot4(rows: &[f32], x: &[f32]) -> [f32; 4] {
+/// The lane accumulators of `dot_rows`: for each of the `N` rows, lane `j`
+/// is `Σ_c row[4c + j]·x[4c + j]` over the full chunks `c`, accumulated
+/// in chunk order from `0.0`. Each row's four lanes are one SSE2 vector,
+/// updated by one `mulps` and one `addps` per chunk — per lane the same
+/// multiply-then-add as the scalar `lane[j] += row[4c + j] * x[4c + j]`,
+/// so the bits match it.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
+    use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
     let k = x.len();
-    let (r0, rest) = rows.split_at(k);
-    let (r1, rest) = rest.split_at(k);
-    let (r2, r3) = rest.split_at(k);
-    let rows = [r0, r1, r2, &r3[..k]];
-    let mut acc = [[0.0f32; 4]; 4];
-    let chunks = k / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        let xv = &x[i..i + 4];
-        for (acc, row) in acc.iter_mut().zip(rows) {
-            let rv = &row[i..i + 4];
+    assert_eq!(rows.len(), N * k, "dot_rows: {N} rows of {k}");
+    let mut out = [[0.0f32; 4]; N];
+    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
+    // on every x86-64 CPU. With `c < k / 4`, each load reads the four
+    // floats `[4c, 4c + 4)` of `x`, inside `x` since `4c + 4 <= k`, or
+    // `[r·k + 4c, r·k + 4c + 4)` of `rows` with `r < N`, which ends at or
+    // before `r·k + k <= N·k = rows.len()` (asserted above). `loadu` and
+    // `storeu` need no alignment, and each store writes one whole
+    // `[f32; 4]`.
+    unsafe {
+        let mut acc = [_mm_setzero_ps(); N];
+        for c in 0..k / 4 {
+            let xv = _mm_loadu_ps(x.as_ptr().add(4 * c));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let rv = _mm_loadu_ps(rows.as_ptr().add(r * k + 4 * c));
+                *acc = _mm_add_ps(*acc, _mm_mul_ps(rv, xv));
+            }
+        }
+        for (o, acc) in out.iter_mut().zip(acc) {
+            _mm_storeu_ps(o.as_mut_ptr(), acc);
+        }
+    }
+    out
+}
+
+/// The lane accumulators of `dot_rows` as a scalar loop, for targets
+/// without the x86-64 SSE2 baseline.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
+    let k = x.len();
+    assert_eq!(rows.len(), N * k, "dot_rows: {N} rows of {k}");
+    let mut acc = [[0.0f32; 4]; N];
+    for (c, xv) in x.chunks_exact(4).enumerate() {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let rv = &rows[r * k + 4 * c..][..4];
             acc[0] += rv[0] * xv[0];
             acc[1] += rv[1] * xv[1];
             acc[2] += rv[2] * xv[2];
             acc[3] += rv[3] * xv[3];
         }
     }
-    let mut s = acc.map(|a| a[0] + a[1] + a[2] + a[3]);
-    for i in chunks * 4..k {
-        for (s, row) in s.iter_mut().zip(rows) {
-            *s += row[i] * x[i];
-        }
-    }
-    s
+    acc
 }
 
 /// The matvec sweep shared by [`Matrix::matmul`] and
 /// [`Matrix::matvec_acc`]: `emit(&mut out[i], dot(w_row_i, x))` for every
 /// row of the row-major `w` (row length `x.len()`). Full blocks of four
-/// rows go through [`dot4`]; the `rows % 4` remainder rows call [`dot`].
+/// rows go through `dot_rows::<4>`; the `rows % 4` remainder rows call
+/// [`dot`].
 #[inline]
 fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f32)) {
     let k = x.len();
     let full = out.len() / 4 * 4;
     for (i, o) in out[..full].chunks_exact_mut(4).enumerate() {
-        let d = dot4(&w[4 * i * k..4 * (i + 1) * k], x);
+        let d = dot_rows::<4>(&w[4 * i * k..4 * (i + 1) * k], x);
         for (o, d) in o.iter_mut().zip(d) {
             emit(o, d);
         }
@@ -227,7 +265,7 @@ impl Matrix {
     }
 
     /// `self × other`. The matrix-×-column-vector case (the seq2seq hot
-    /// path) takes the four-row `dot4` matvec path; any other shape returns
+    /// path) takes the four-row `dot_rows` matvec path; any other shape returns
     /// [`reference::matmul`]'s result.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -286,7 +324,7 @@ impl Matrix {
 
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
     /// fused affine ops. Each row's product is a full fixed-order [`dot`]
-    /// (four rows at a time through `dot4`) added to the existing value,
+    /// (four rows at a time through `dot_rows`) added to the existing value,
     /// mirroring what a `Matmul` node followed by an `Add` node computes
     /// element-by-element.
     pub fn matvec_acc(&self, x: &Matrix, out: &mut Matrix) {
@@ -334,8 +372,8 @@ pub mod reference {
         let mut out = Matrix::zeros(a.rows, b.cols);
         let mut col = vec![0.0f32; b.rows];
         for j in 0..b.cols {
-            for k in 0..b.rows {
-                col[k] = b.at(k, j);
+            for (k, c) in col.iter_mut().enumerate() {
+                *c = b.at(k, j);
             }
             for i in 0..a.rows {
                 *out.at_mut(i, j) = dot(&a.data[i * a.cols..(i + 1) * a.cols], &col);
@@ -351,12 +389,12 @@ pub mod reference {
         let mut arow = vec![0.0f32; a.rows];
         let mut bcol = vec![0.0f32; b.rows];
         for i in 0..a.cols {
-            for k in 0..a.rows {
-                arow[k] = a.at(k, i);
+            for (k, r) in arow.iter_mut().enumerate() {
+                *r = a.at(k, i);
             }
             for j in 0..b.cols {
-                for k in 0..b.rows {
-                    bcol[k] = b.at(k, j);
+                for (k, c) in bcol.iter_mut().enumerate() {
+                    *c = b.at(k, j);
                 }
                 *out.at_mut(i, j) = dot(&arow, &bcol);
             }
@@ -508,6 +546,77 @@ mod tests {
             let mut reference = base.clone();
             reference::matvec_acc(&w, &x, &mut reference);
             assert_eq!(bits(&fused), bits(&reference), "{rows}x{k}");
+        }
+    }
+
+    /// [`dot`] as a plain scalar loop, one lane update per element: the
+    /// specification the vector lane body is held to.
+    fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = [0.0f32; 4];
+        for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+            for (lane, (x, y)) in acc.iter_mut().zip(ca.iter().zip(cb)) {
+                *lane += x * y;
+            }
+        }
+        let mut s = acc[0] + acc[1] + acc[2] + acc[3];
+        let tail = a.len() / 4 * 4;
+        for (x, y) in a[tail..].iter().zip(&b[tail..]) {
+            s += x * y;
+        }
+        s
+    }
+
+    /// Entries that stress bit-level equality: `±0.0`, `±inf`, subnormals
+    /// and magnitudes whose products overflow, mixed with ordinary values,
+    /// so signed-zero sums, gradual underflow, overflow to `inf` and
+    /// `inf - inf = NaN` all occur.
+    fn hostile(rng: &mut StdRng) -> f32 {
+        let v = match rng.random_range(0..16) {
+            0..=2 => 0.0,
+            3..=5 => f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+            6..=8 => rng.random_range(1e15f32..1e25),
+            9 => f32::INFINITY,
+            _ => rng.random_range(0.0f32..2.0),
+        };
+        if rng.random_range(0..2) == 0 {
+            v
+        } else {
+            -v
+        }
+    }
+
+    fn ordinary(rng: &mut StdRng) -> f32 {
+        rng.random_range(-1.0f32..1.0)
+    }
+
+    /// The vector lane body against [`scalar_dot`], bit for bit, through
+    /// all three ways into it — [`dot`], the `matmul` matvec and
+    /// `matvec_acc` — for every `k` from 0 to 17 (each `k % 4` tail, with
+    /// and without full chunks) and 1–8 rows (each `rows % 4` remainder,
+    /// with and without a four-row block), then the model's shapes.
+    #[test]
+    fn lane_body_matches_scalar_dot_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let small = (1..=8).flat_map(|rows| (0..=17).map(move |k| (rows, k)));
+        let draws: [fn(&mut StdRng) -> f32; 2] = [ordinary, hostile];
+        for draw in draws {
+            for (rows, k) in small.clone().chain(matvec_shapes()) {
+                let mut mat = |r: usize, c: usize| {
+                    Matrix::from_vec(r, c, (0..r * c).map(|_| draw(&mut rng)).collect())
+                };
+                let (w, x, base) = (mat(rows, k), mat(k, 1), mat(rows, 1));
+                let row = |i: usize| &w.data[i * k..(i + 1) * k];
+                let want: Vec<f32> = (0..rows).map(|i| scalar_dot(row(i), &x.data)).collect();
+                let want_bits: Vec<u32> = want.iter().map(|d| d.to_bits()).collect();
+                let dots: Vec<u32> = (0..rows).map(|i| dot(row(i), &x.data).to_bits()).collect();
+                assert_eq!(dots, want_bits, "dot {rows}x{k}");
+                assert_eq!(bits(&w.matmul(&x)), want_bits, "matmul {rows}x{k}");
+                let mut acc = base.clone();
+                w.matvec_acc(&x, &mut acc);
+                let want_acc: Vec<u32> =
+                    base.data.iter().zip(&want).map(|(b, d)| (b + d).to_bits()).collect();
+                assert_eq!(bits(&acc), want_acc, "matvec_acc {rows}x{k}");
+            }
         }
     }
 

@@ -449,6 +449,7 @@ impl Seq2Seq {
     /// losses are summed in input order, so the value is bit-identical for
     /// any thread count.
     pub fn evaluate(&self, samples: &[Sample]) -> f32 {
+        let _span = nv_trace::span("nn.evaluate");
         if samples.is_empty() {
             return 0.0;
         }

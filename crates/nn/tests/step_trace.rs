@@ -1,7 +1,8 @@
 //! A traced `train_epoch` explains its own step: every sample's forward
 //! and backward pass and every batch's merge + clip + Adam record under
 //! `nn.step`, whichever thread ran them, and the rank-1 weight-gradient
-//! updates are counted next to the GEMM flops.
+//! updates are counted next to the GEMM flops. The validation loss that
+//! follows an epoch records as one `nn.evaluate`, outside `nn.step`.
 
 use nv_nn::{KernelPolicy, ModelVariant, Sample, Seq2Seq, Seq2SeqConfig};
 
@@ -35,6 +36,7 @@ fn traced_train_epoch_records_step_phases_and_rank1_flops() {
         nv_trace::reset();
         nv_trace::enable();
         model.train_epoch(&samples);
+        model.evaluate(&samples[..3]);
         nv_trace::disable();
         let report = nv_trace::report();
         let count = |path: &str| {
@@ -46,6 +48,7 @@ fn traced_train_epoch_records_step_phases_and_rank1_flops() {
         assert_eq!(count("nn.step/nn.forward"), samples.len() as u64, "threads {threads}");
         assert_eq!(count("nn.step/nn.backward"), samples.len() as u64, "threads {threads}");
         assert_eq!(count("nn.step/nn.optim"), batches, "threads {threads}");
+        assert_eq!(count("nn.evaluate"), 1, "threads {threads}");
         assert!(report.counter("nn.gemm.flops") > 0);
         rank1.push(report.counter("nn.rank1.flops"));
     }

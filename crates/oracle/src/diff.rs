@@ -181,10 +181,17 @@ pub fn run_differential(config: &DiffConfig) -> DiffReport {
                     Outcome::AgreedError => report.agreed_errors += 1,
                     Outcome::InjectedFault => report.injected_faults += 1,
                     Outcome::Diverged => {
-                        let div = build_divergence(
-                            config, case, qi, engine, &db, q, oracle.clone(), engine_result,
-                        );
-                        report.divergences.push(div);
+                        let div = Divergence {
+                            seed: config.seed,
+                            case,
+                            query_index: qi,
+                            engine,
+                            db: db.clone(),
+                            query: q.clone(),
+                            oracle: oracle.clone(),
+                            engine_result,
+                        };
+                        report.divergences.push(shrink_divergence(config, div));
                     }
                 }
             }
@@ -193,30 +200,20 @@ pub fn run_differential(config: &DiffConfig) -> DiffReport {
     report
 }
 
-fn build_divergence(
-    config: &DiffConfig,
-    case: usize,
-    query_index: usize,
-    engine: &'static str,
-    db: &Database,
-    q: &VisQuery,
-    oracle: Result<ResultSet, ExecError>,
-    engine_result: Result<ResultSet, ExecError>,
-) -> Divergence {
-    let (db, query) = if config.shrink {
-        shrink(db.clone(), q.clone())
-    } else {
-        (db.clone(), q.clone())
-    };
+/// `d` with its database and query shrunk when `config.shrink` is set,
+/// and its two results taken from a re-run on that pair if it still
+/// diverges there.
+fn shrink_divergence(config: &DiffConfig, d: Divergence) -> Divergence {
+    let (db, query) = if config.shrink { shrink(d.db, d.query) } else { (d.db, d.query) };
     // Re-run on the shrunk pair so the reported results match it.
     let oracle2 = oracle_execute(&db, &query);
-    let engine2 = run_engine(engine, &db, &query, &mut ExecCache::new());
+    let engine2 = run_engine(d.engine, &db, &query, &mut ExecCache::new());
     let (oracle, engine_result) = if classify(&oracle2, &engine2) == Outcome::Diverged {
         (oracle2, engine2)
     } else {
-        (oracle, engine_result)
+        (d.oracle, d.engine_result)
     };
-    Divergence { seed: config.seed, case, query_index, engine, db, query, oracle, engine_result }
+    Divergence { db, query, oracle, engine_result, ..d }
 }
 
 // ---- shrinking -----------------------------------------------------------

@@ -665,7 +665,7 @@ fn agg_over(agg: AggFunc, distinct: bool, vals: &[Value]) -> Value {
         if v.is_null() {
             continue;
         }
-        if distinct && pool.iter().any(|p| *p == v) {
+        if distinct && pool.contains(&v) {
             continue;
         }
         pool.push(v);

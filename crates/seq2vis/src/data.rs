@@ -127,7 +127,7 @@ mod tests {
             for tok in &t {
                 assert!(
                     nv_ast::tokens::parse_literal(tok)
-                        .map_or(true, |l| matches!(l, nv_ast::Literal::Null | nv_ast::Literal::Bool(_))),
+                        .is_none_or(|l| matches!(l, nv_ast::Literal::Null | nv_ast::Literal::Bool(_))),
                     "unmasked literal {tok} in {}",
                     v.vql
                 );

@@ -113,8 +113,8 @@ pub fn fill_values(tokens: &[String], nl: &str) -> Vec<String> {
             continue;
         }
         let prev = if i > 0 { tokens[i - 1].as_str() } else { "" };
-        let prev2 = if i > 1 { tokens[i - 2].as_str() } else { "" };
-        let want_text = prev == "like" || prev2 == "not" && prev == "like";
+        // `like` and `not like` both put the value right after `like`.
+        let want_text = prev == "like";
         let want_small_int = prev == "top" || prev == "bottom";
         let pick = if want_text {
             take_first(&mut candidates, |c| matches!(c, Candidate::Text(_)))

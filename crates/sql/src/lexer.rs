@@ -215,13 +215,13 @@ mod tests {
 
     #[test]
     fn lex_numbers() {
-        let toks = lex("42 -7 3.14 10.0").unwrap();
+        let toks = lex("42 -7 2.75 10.0").unwrap();
         assert_eq!(
             toks,
             vec![
                 Token::Int(42),
                 Token::Int(-7),
-                Token::Float(3.14),
+                Token::Float(2.75),
                 Token::Float(10.0)
             ]
         );

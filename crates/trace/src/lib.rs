@@ -316,7 +316,7 @@ impl TraceReport {
             let mut o = Map::new();
             o.insert("count".into(), Value::Int(s.count as i64));
             o.insert("total_ns".into(), Value::Int(s.total_ns as i64));
-            let mean = if s.count == 0 { 0 } else { s.total_ns / s.count };
+            let mean = s.total_ns.checked_div(s.count).unwrap_or(0);
             o.insert("mean_ns".into(), Value::Int(mean as i64));
             spans.insert(k.clone(), Value::Object(o));
         }

@@ -2,11 +2,13 @@
 # The repo's CI gate, runnable locally. Stages:
 #
 #   scripts/ci.sh                  # everything (build, tests, vendor,
-#                                  # faults, warnings, doc, differential,
+#                                  # faults, warnings, clippy, doc,
+#                                  # differential,
 #                                  # golden, trace, gradcheck, nvperf,
 #                                  # quick, examples)
 #   scripts/ci.sh vendor           # the vendored crates' own unit tests
 #                                  # (vendor/ is outside the workspace)
+#   scripts/ci.sh clippy           # clippy-clean workspace, all targets
 #   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
 #                                  # private intra-doc links fail)
 #   scripts/ci.sh differential     # 5,000-case differential-oracle batch
@@ -22,8 +24,10 @@
 #   scripts/ci.sh quick --bless    # regenerate that golden, then re-verify
 #   scripts/ci.sh examples         # run the fast examples in release,
 #                                  # custom_data on a ragged CSV (exit 1),
-#                                  # a one-epoch train_probe smoke run and
-#                                  # train_probe on a bad variant (exit 2)
+#                                  # a one-epoch train_probe smoke run, the
+#                                  # same piped into `head -1` (exit 0, no
+#                                  # panic) and train_probe on a bad
+#                                  # variant (exit 2)
 #
 # The differential stage runs every generated query through the executor's
 # one entry point, `execute_with`, three ways (no cache, cache-cold,
@@ -40,6 +44,11 @@ run_vendor() {
   for crate in proptest rand serde serde_json; do
     cargo test --offline -q --manifest-path "vendor/$crate/Cargo.toml" --target-dir target
   done
+}
+
+run_clippy() {
+  echo "=== clippy: whole workspace, all targets, warnings are errors ==="
+  cargo clippy -q --offline --workspace --all-targets -- -D warnings
 }
 
 run_doc() {
@@ -121,6 +130,17 @@ run_examples() {
   echo "--- train_probe 1 16 basic ---"
   cargo build --release -q -p nv-bench --bin train_probe
   target/release/train_probe 1 16 basic > /dev/null
+  echo "--- train_probe 1 16 basic | head -1: must exit 0 without a panic ---"
+  local err
+  err="$(mktemp)"
+  status=0
+  target/release/train_probe 1 16 basic 2> "$err" | head -1 > /dev/null || status=$?
+  out="$(cat "$err")"
+  rm -f "$err"
+  if [[ $status -ne 0 || "$out" == *"panicked"* ]]; then
+    echo "expected exit 0 and no panic when stdout closes, got exit $status: $out" >&2
+    return 1
+  fi
   echo "--- train_probe on a misspelt variant: must exit 2 with its usage line ---"
   status=0
   out="$(target/release/train_probe 1 16 cpy 2>&1)" || status=$?
@@ -138,6 +158,10 @@ run_nvperf() {
 case "$stage" in
   vendor)
     run_vendor
+    exit 0
+    ;;
+  clippy)
+    run_clippy
     exit 0
     ;;
   doc)
@@ -174,48 +198,51 @@ case "$stage" in
     ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|vendor|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
+    echo "usage: scripts/ci.sh [all|vendor|clippy|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/13] cargo build --release ==="
+echo "=== [1/14] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/13] cargo test -q (every workspace crate) ==="
+echo "=== [2/14] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/13] vendored crates' unit tests ==="
+echo "=== [3/14] vendored crates' unit tests ==="
 run_vendor
 
-echo "=== [4/13] fault-injection harness ==="
+echo "=== [4/14] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [5/13] warnings-clean (whole workspace, all targets) ==="
+echo "=== [5/14] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [6/13] warnings-clean rustdoc ==="
+echo "=== [6/14] clippy-clean (whole workspace, all targets) ==="
+run_clippy
+
+echo "=== [7/14] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [7/13] differential oracle ==="
+echo "=== [8/14] differential oracle ==="
 run_differential
 
-echo "=== [8/13] golden snapshots ==="
+echo "=== [9/14] golden snapshots ==="
 run_golden
 
-echo "=== [9/13] trace observability gate ==="
+echo "=== [10/14] trace observability gate ==="
 run_trace
 
-echo "=== [10/13] training-kernel gradcheck + determinism gate ==="
+echo "=== [11/14] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [11/13] benchmark harness (nvperf) ==="
+echo "=== [12/14] benchmark harness (nvperf) ==="
 run_nvperf
 
-echo "=== [12/13] reproduce quick golden ==="
+echo "=== [13/14] reproduce quick golden ==="
 run_quick
 
-echo "=== [13/13] examples ==="
+echo "=== [14/14] examples ==="
 run_examples
 
 echo "=== CI green ==="

@@ -85,7 +85,7 @@ fn run_grad_check(variant: ModelVariant, kernel: KernelPolicy) {
         let mut best: Option<(f64, f64, f64)> = None; // (rel, num_norm, diff_norm)
         for eps in STEPS {
             let mut num = vec![0.0f64; n];
-            for k in 0..n {
+            for (k, num_k) in num.iter_mut().enumerate() {
                 let orig = model.store().get(id).data[k];
                 let mut probe = |delta: f64| {
                     model.store_mut().mats[id.0].data[k] = (f64::from(orig) + delta) as f32;
@@ -97,7 +97,7 @@ fn run_grad_check(variant: ModelVariant, kernel: KernelPolicy) {
                 let m1 = probe(-eps);
                 let m2 = probe(-2.0 * eps);
                 model.store_mut().mats[id.0].data[k] = orig;
-                num[k] = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * eps);
+                *num_k = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * eps);
             }
             let num_norm: f64 = num.iter().map(|x| x * x).sum::<f64>().sqrt();
             let diff_norm: f64 = num
