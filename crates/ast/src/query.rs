@@ -519,43 +519,6 @@ impl QueryBody {
     pub fn has_join(&self) -> bool {
         !self.joins.is_empty() || self.from.len() > 1
     }
-
-    /// All columns referenced anywhere in the body (projection, joins,
-    /// filter leaves, grouping, ordering, superlative). Stars are included.
-    pub fn referenced_columns(&self) -> Vec<&ColumnRef> {
-        let mut cols: Vec<&ColumnRef> = Vec::new();
-        for a in &self.select {
-            cols.push(&a.col);
-        }
-        for j in &self.joins {
-            cols.push(&j.left);
-            cols.push(&j.right);
-        }
-        if let Some(p) = &self.filter {
-            p.for_each_leaf(&mut |leaf| match leaf {
-                Predicate::Cmp { attr, .. }
-                | Predicate::Between { attr, .. }
-                | Predicate::Like { attr, .. }
-                | Predicate::In { attr, .. } => cols.push(&attr.col),
-                _ => {}
-            });
-        }
-        if let Some(g) = &self.group {
-            for c in &g.group_by {
-                cols.push(c);
-            }
-            if let Some(b) = &g.bin {
-                cols.push(&b.col);
-            }
-        }
-        if let Some(o) = &self.order {
-            cols.push(&o.attr.col);
-        }
-        if let Some(s) = &self.superlative {
-            cols.push(&s.attr.col);
-        }
-        cols
-    }
 }
 
 /// Set-operation kinds of the `Q` production.
@@ -656,12 +619,6 @@ impl VisQuery {
 
     pub fn is_vis(&self) -> bool {
         self.chart.is_some()
-    }
-
-    /// Number of `A`-subtrees in the primary select (the paper's attribute
-    /// count used by hardness and the Table-1 variable-count rules).
-    pub fn select_arity(&self) -> usize {
-        self.query.primary().select.len()
     }
 
     /// Lowercased names of every table this query can read: FROM lists of
@@ -803,42 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_cover_all_clauses() {
-        let mut b = body();
-        b.joins.push(JoinCond {
-            left: ColumnRef::new("flight", "src"),
-            right: ColumnRef::new("airport", "id"),
-        });
-        b.filter = Some(Predicate::Cmp {
-            op: CmpOp::Gt,
-            attr: Attr::col("flight", "price"),
-            rhs: Operand::int(500),
-        });
-        b.group = Some(GroupSpec::by(ColumnRef::new("flight", "destination")));
-        b.order = Some(OrderSpec {
-            attr: Attr::agg(AggFunc::Count, "flight", "*"),
-            dir: OrderDir::Desc,
-        });
-        b.superlative = Some(Superlative {
-            dir: SuperDir::Most,
-            k: 5,
-            attr: Attr::col("flight", "price"),
-        });
-        let cols = b.referenced_columns();
-        let names: Vec<String> = cols.iter().map(|c| c.to_token()).collect();
-        for expect in [
-            "flight.destination",
-            "flight.*",
-            "flight.src",
-            "airport.id",
-            "flight.price",
-        ] {
-            assert!(names.iter().any(|n| n == expect), "missing {expect} in {names:?}");
-        }
-        assert_eq!(cols.len(), 8);
-    }
-
-    #[test]
     fn set_query_accessors() {
         let simple = SetQuery::simple(body());
         assert!(simple.set_op().is_none());
@@ -858,7 +779,6 @@ mod tests {
     fn vis_query_flags() {
         let q = VisQuery::sql(SetQuery::simple(body()));
         assert!(!q.is_vis());
-        assert_eq!(q.select_arity(), 2);
         let v = VisQuery::vis(ChartType::Pie, SetQuery::simple(body()));
         assert!(v.is_vis());
     }

@@ -10,7 +10,7 @@ use nvbench::core::{
     type_hardness_matrix, CostModel, CostReport, DatasetStats, Nl2VisPredictor,
 };
 use nvbench::baselines::{DeepEyeBaseline, Nl4DvBaseline};
-use nvbench::eval::{inter_rater, run_study, simulate_t3, StudyConfig, StudyResult};
+use nvbench::eval::{inter_rater, run_study, simulate_t3, StudyResult};
 use nvbench::nn::ModelVariant;
 use nvbench::seq2vis::{
     build_dataset, evaluate, evaluate_top_k, value_fill_accuracy, EvalReport, Seq2Vis,
@@ -197,7 +197,7 @@ pub fn exp_fig12(ctx: &Context) -> String {
 
 /// Figure 13 — expert/crowd Likert distributions for T1 and T2.
 pub fn exp_fig13(ctx: &Context) -> String {
-    let study = run_study(&ctx.bench, &StudyConfig::default());
+    let study = run_study(&ctx.bench, 0.10);
     let mut out = String::new();
     writeln!(
         out,
@@ -459,10 +459,7 @@ pub fn exp_table5(ctx: &Context, scale: Scale, seq2vis: &(Seq2Vis, EvalReport)) 
 /// Figure 18 — relative accuracy when injecting x% of the low-rated pairs
 /// into the training set.
 pub fn exp_fig18(ctx: &Context, scale: Scale) -> String {
-    let study = run_study(
-        &ctx.bench,
-        &StudyConfig { sample_frac: 1.0, ..Default::default() },
-    );
+    let study = run_study(&ctx.bench, 1.0);
     let low: std::collections::HashSet<usize> = study.low_rated_pairs.iter().copied().collect();
     let idx = ctx.test_idx(scale);
 

@@ -56,11 +56,6 @@ impl NvBench {
         &self.vis_objects[vis_id]
     }
 
-    /// All pairs sharing one vis object.
-    pub fn pairs_of_vis(&self, vis_id: usize) -> Vec<&NlVisPair> {
-        self.pairs.iter().filter(|p| p.vis_id == vis_id).collect()
-    }
-
     /// Average NL variants per vis — Table 3's `#-(nl,vis)/#-vis`.
     pub fn variants_per_vis(&self) -> f64 {
         if self.vis_objects.is_empty() {
@@ -192,7 +187,6 @@ mod tests {
     fn accessors() {
         let b = mini_bench();
         assert_eq!(b.variants_per_vis(), 4.0);
-        assert_eq!(b.pairs_of_vis(3).len(), 4);
         assert!(b.database("nope").is_none());
         assert_eq!(b.vis(2).vis_id, 2);
     }

@@ -18,7 +18,7 @@ use nv_spider::SpiderCorpus;
 use nv_sql::{parse_sql, SqlError};
 use nv_synth::{filter_candidates, generate_candidates, FilterStats, GoodVis, NlSynthesizer};
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -177,20 +177,6 @@ pub struct CorpusSynthesis {
     pub pair_digests: Vec<Option<u64>>,
 }
 
-impl CorpusSynthesis {
-    /// Count of quarantined pairs per error kind, in label order — the
-    /// one-line summary tools print after a run.
-    pub fn quarantine_summary(&self) -> Vec<(NvErrorKind, usize)> {
-        let mut counts: HashMap<NvErrorKind, usize> = HashMap::new();
-        for q in &self.quarantine {
-            *counts.entry(q.error_kind).or_default() += 1;
-        }
-        let mut out: Vec<(NvErrorKind, usize)> = counts.into_iter().collect();
-        out.sort_by_key(|(k, _)| k.label());
-        out
-    }
-}
-
 /// The result of synthesizing one (NL, SQL) pair.
 #[derive(Debug, Clone)]
 pub struct PairSynthesis {
@@ -281,7 +267,7 @@ impl Nl2SqlToNl2Vis {
             if kept.len() >= self.cfg.max_vis_per_pair {
                 break;
             }
-            if seen_types.insert(g.data.chart) {
+            if seen_types.insert(g.chart) {
                 kept.push(g);
             } else {
                 leftovers.push(g);
@@ -319,26 +305,39 @@ impl Nl2SqlToNl2Vis {
     /// for every pair that failed.
     ///
     /// Pairs are synthesized by `cfg.threads` workers pulling from a shared
-    /// work queue, each holding one [`ExecCache`] per database it touches;
-    /// results are merged in input order, so the benchmark — vis ids, pair
-    /// ids, dedup outcomes, NL variants — is bit-identical to
+    /// work queue; results are merged in input order, so the benchmark —
+    /// vis ids, pair ids, dedup outcomes, NL variants — is bit-identical to
     /// [`synthesize_corpus_sequential`](Self::synthesize_corpus_sequential)
     /// for any thread count.
     ///
+    /// Each worker holds one [`ExecCache`], for the database of the pair it
+    /// is on, and starts a fresh one when the next pair names another
+    /// database, so it holds one database's memo at a time. The reset
+    /// loses no hits when the corpus lists each database's pairs
+    /// contiguously, as every corpus this workspace builds does: workers
+    /// claim pairs in increasing index order, so none returns to a
+    /// database it has left. An interleaved corpus gives the same output
+    /// with fewer hits.
+    ///
     /// Fault isolation: each pair runs under `catch_unwind`; a panicking
     /// pair is quarantined (stage [`SynthStage::Isolation`]) and its
-    /// worker's caches are rebuilt, so one poisoned pair can never take
+    /// worker's cache is rebuilt, so one poisoned pair can never take
     /// down the run or corrupt a neighbour's output.
     pub fn synthesize_corpus(&self, corpus: &SpiderCorpus) -> CorpusSynthesis {
         let results = par::map_ordered_isolated(
             &corpus.pairs,
             self.cfg.threads,
-            HashMap::<String, ExecCache>::new,
-            |caches, _i, pair| {
+            <(String, ExecCache)>::default,
+            |(cache_db, cache), _i, pair| {
                 let db = corpus
                     .database(&pair.db_name)
                     .ok_or_else(|| PipelineError::UnknownDatabase(pair.db_name.clone()))?;
-                let cache = caches.entry(pair.db_name.clone()).or_default();
+                // Keyed on the resolved name: lookup ignores case, `bind`
+                // does not.
+                if *cache_db != db.name {
+                    *cache_db = db.name.clone();
+                    *cache = ExecCache::new();
+                }
                 self.synthesize_pair_cached(db, &pair.nl, &pair.sql, pair.id as u64, cache)
             },
         );
@@ -434,7 +433,7 @@ impl Nl2SqlToNl2Vis {
                     vis_id,
                     db_name: pair.db_name.clone(),
                     source_pair_id: pair.id,
-                    chart: good.data.chart,
+                    chart: good.chart,
                     hardness: Hardness::of(&good.candidate.tree),
                     vql,
                     tree: good.candidate.tree,
@@ -640,6 +639,40 @@ mod tests {
         }
     }
 
+    /// Pairs dealt round-robin across databases (A, B, C, A, B, …) make
+    /// every worker switch database on nearly every pair. Each switch
+    /// starts a fresh cache, so output matches the oracle; a cache kept
+    /// across the switch would trip `ExecCache::bind` and quarantine the
+    /// pair as internal.
+    #[test]
+    fn interleaved_databases_match_sequential_oracle() {
+        let mut corpus = SpiderCorpus::generate(&CorpusConfig::small(8));
+        let mut nth: std::collections::HashMap<String, usize> = Default::default();
+        let mut dealt: Vec<(usize, nv_spider::SpiderPair)> = corpus
+            .pairs
+            .drain(..)
+            .map(|p| {
+                let n = nth.entry(p.db_name.clone()).or_default();
+                *n += 1;
+                (*n, p)
+            })
+            .collect();
+        // Stable, so each round keeps the databases' corpus order.
+        dealt.sort_by_key(|(n, _)| *n);
+        corpus.pairs = dealt.into_iter().map(|(_, p)| p).collect();
+        assert_ne!(corpus.pairs[0].db_name, corpus.pairs[1].db_name);
+
+        let oracle = Nl2SqlToNl2Vis::new(SynthesizerConfig::default())
+            .synthesize_corpus_sequential(&corpus);
+        for threads in [1, 4] {
+            let cfg = SynthesizerConfig { threads, ..Default::default() };
+            let out = Nl2SqlToNl2Vis::new(cfg).synthesize_corpus(&corpus);
+            assert!(out.quarantine.is_empty(), "threads={threads}: {:?}", out.quarantine);
+            assert_eq!(out.pair_digests, oracle.pair_digests, "threads={threads}");
+            assert_eq!(out.bench.pairs, oracle.bench.pairs, "threads={threads}");
+        }
+    }
+
     /// Cached pair synthesis is output-identical to the plain path.
     #[test]
     fn cached_pair_matches_uncached() {
@@ -709,10 +742,6 @@ mod tests {
             assert!(out.pair_digests[1].is_none());
             assert!(out.pair_digests[2..].iter().all(|d| d.is_some()));
             assert!(!out.bench.vis_objects.is_empty());
-
-            let summary = out.quarantine_summary();
-            let total: usize = summary.iter().map(|(_, c)| c).sum();
-            assert_eq!(total, 2);
         }
     }
 

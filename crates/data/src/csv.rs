@@ -123,127 +123,6 @@ pub fn table_from_csv(name: &str, csv: &str, delim: char) -> Result<Table, CsvEr
     Ok(table)
 }
 
-/// What a lenient CSV load skipped and why. `warnings` holds one
-/// `(line number, reason)` per skipped row, capped so a pathological file
-/// cannot balloon the report.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CsvLoadReport {
-    pub rows_loaded: usize,
-    pub rows_skipped: usize,
-    pub warnings: Vec<(usize, String)>,
-    /// True when more rows were skipped than `warnings` records.
-    pub warnings_truncated: bool,
-}
-
-impl CsvLoadReport {
-    const MAX_WARNINGS: usize = 100;
-
-    fn skip(&mut self, line: usize, reason: String) {
-        self.rows_skipped += 1;
-        if self.warnings.len() < Self::MAX_WARNINGS {
-            self.warnings.push((line, reason));
-        } else {
-            self.warnings_truncated = true;
-        }
-    }
-}
-
-/// Load a table from CSV text, skipping malformed rows instead of failing.
-///
-/// Three malformation classes are tolerated, each skipped with a counted
-/// warning in the [`CsvLoadReport`]:
-///
-/// 1. **broken quoting** — unterminated quotes, quotes inside unquoted
-///    fields;
-/// 2. **wrong arity** — a row with more or fewer fields than the header;
-/// 3. **type outliers** — a non-numeric value in a column that is
-///    numeric by majority, or an unparseable date in a majority-temporal
-///    column (these rows would silently poison aggregates otherwise).
-///
-/// Still errors (like [`table_from_csv`]) when the input is unusable as a
-/// whole: empty input or a malformed header.
-pub fn table_from_csv_lenient(
-    name: &str,
-    csv: &str,
-    delim: char,
-) -> Result<(Table, CsvLoadReport), CsvError> {
-    let mut lines = csv
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (hline, header) = lines
-        .next()
-        .ok_or(CsvError { line: 0, message: "empty input".into() })?;
-    let names = split_record(header, delim, hline + 1)?;
-    if names.iter().any(|n| n.trim().is_empty()) {
-        return Err(CsvError { line: hline + 1, message: "empty column name".into() });
-    }
-    let arity = names.len();
-
-    let mut report = CsvLoadReport::default();
-    // (source line, typed row) — line numbers survive to the type pass.
-    let mut rows: Vec<(usize, Vec<Value>)> = Vec::new();
-    for (i, line) in lines {
-        match split_record(line, delim, i + 1) {
-            Err(e) => report.skip(e.line, e.message),
-            Ok(fields) if fields.len() != arity => report.skip(
-                i + 1,
-                format!("expected {arity} fields, found {}", fields.len()),
-            ),
-            Ok(fields) => rows.push((i + 1, fields.iter().map(|f| type_field(f)).collect())),
-        }
-    }
-
-    // Infer each column's majority class, then drop rows whose non-null
-    // values contradict it (bad numerics in a Q column, invalid dates in a
-    // T column).
-    let col_types: Vec<ColumnType> = (0..arity)
-        .map(|c| {
-            let vals: Vec<Value> = rows.iter().map(|(_, r)| r[c].clone()).collect();
-            ColumnType::infer(&vals)
-        })
-        .collect();
-    let conforms = |v: &Value, t: ColumnType| match t {
-        ColumnType::Quantitative => {
-            v.is_null() || matches!(v, Value::Int(_) | Value::Float(_) | Value::Bool(_))
-        }
-        ColumnType::Temporal => {
-            v.is_null()
-                || matches!(v, Value::Time(_))
-                || matches!(v, Value::Text(s) if Timestamp::parse(s).is_some())
-        }
-        ColumnType::Categorical => true,
-    };
-    let mut kept: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-    for (line, row) in rows {
-        match (0..arity).find(|&c| !conforms(&row[c], col_types[c])) {
-            Some(c) => report.skip(
-                line,
-                format!(
-                    "value '{}' does not fit {} column '{}'",
-                    row[c].label(),
-                    col_types[c],
-                    names[c].trim()
-                ),
-            ),
-            None => kept.push(row),
-        }
-    }
-    report.rows_loaded = kept.len();
-
-    let schema = TableSchema {
-        name: name.to_string(),
-        columns: names
-            .iter()
-            .map(|n| Column::new(n.trim().replace(' ', "_"), ColumnType::Categorical))
-            .collect(),
-        primary_key: None,
-    };
-    let mut table = Table { schema, rows: kept };
-    table.infer_column_types();
-    Ok((table, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,91 +186,5 @@ Bob,28,\"New York, NY\",2019-11-20,78
     fn blank_lines_skipped() {
         let t = table_from_csv("t", "a\n\n1\n\n2\n", ',').unwrap();
         assert_eq!(t.n_rows(), 2);
-    }
-
-    // ---- lenient loading -------------------------------------------------
-
-    #[test]
-    fn lenient_skips_wrong_arity_rows() {
-        let (t, rep) = table_from_csv_lenient("t", "a,b\n1,x\n2\n3,y,extra\n4,z\n", ',').unwrap();
-        assert_eq!(t.n_rows(), 2);
-        assert_eq!(rep.rows_loaded, 2);
-        assert_eq!(rep.rows_skipped, 2);
-        assert_eq!(rep.warnings.len(), 2);
-        assert_eq!(rep.warnings[0].0, 3);
-        assert!(rep.warnings[0].1.contains("expected 2 fields, found 1"));
-        assert_eq!(rep.warnings[1].0, 4);
-        assert!(!rep.warnings_truncated);
-    }
-
-    #[test]
-    fn lenient_skips_broken_quoting() {
-        let (t, rep) = table_from_csv_lenient("t", "a,b\n1,x\n\"open,2\n3,y\n", ',').unwrap();
-        assert_eq!(t.n_rows(), 2);
-        assert_eq!(rep.rows_skipped, 1);
-        assert!(rep.warnings[0].1.contains("unterminated quote"));
-    }
-
-    #[test]
-    fn lenient_skips_bad_numerics() {
-        let (t, rep) =
-            table_from_csv_lenient("t", "age\n30\n41\n29\nunknown\n35\n", ',').unwrap();
-        // 4 numeric rows win the majority vote; 'unknown' is an outlier.
-        assert_eq!(t.schema.columns[0].ctype, ColumnType::Quantitative);
-        assert_eq!(t.n_rows(), 4);
-        assert_eq!(rep.rows_skipped, 1);
-        assert_eq!(rep.warnings[0].0, 5);
-        assert!(rep.warnings[0].1.contains("'unknown'"), "{:?}", rep.warnings);
-        assert!(rep.warnings[0].1.contains("'age'"), "{:?}", rep.warnings);
-    }
-
-    #[test]
-    fn lenient_skips_invalid_dates() {
-        let (t, rep) = table_from_csv_lenient(
-            "t",
-            "joined\n2020-01-05\n2021-06-30\n2019-11-20\nnot-a-date\n",
-            ',',
-        )
-        .unwrap();
-        assert_eq!(t.schema.columns[0].ctype, ColumnType::Temporal);
-        assert_eq!(t.n_rows(), 3);
-        assert_eq!(rep.rows_skipped, 1);
-        assert!(rep.warnings[0].1.contains("not-a-date"));
-    }
-
-    #[test]
-    fn lenient_keeps_text_columns_intact() {
-        // A categorical column accepts anything — no type-outlier skipping.
-        let (t, rep) = table_from_csv_lenient("t", "name\nann\n42\n2020-01-01\n", ',').unwrap();
-        assert_eq!(t.n_rows(), 3);
-        assert_eq!(rep.rows_skipped, 0);
-    }
-
-    #[test]
-    fn lenient_matches_strict_on_clean_input() {
-        let strict = table_from_csv("people", SAMPLE, ',').unwrap();
-        let (lenient, rep) = table_from_csv_lenient("people", SAMPLE, ',').unwrap();
-        assert_eq!(strict, lenient);
-        assert_eq!(rep.rows_skipped, 0);
-        assert_eq!(rep.rows_loaded, 3);
-    }
-
-    #[test]
-    fn lenient_still_rejects_unusable_input() {
-        assert!(table_from_csv_lenient("t", "", ',').is_err());
-        assert!(table_from_csv_lenient("t", "a,\n1,2\n", ',').is_err());
-    }
-
-    #[test]
-    fn lenient_warning_cap() {
-        let mut csv = String::from("a,b\n");
-        for _ in 0..150 {
-            csv.push_str("1\n"); // wrong arity
-        }
-        let (t, rep) = table_from_csv_lenient("t", &csv, ',').unwrap();
-        assert_eq!(t.n_rows(), 0);
-        assert_eq!(rep.rows_skipped, 150);
-        assert_eq!(rep.warnings.len(), 100);
-        assert!(rep.warnings_truncated);
     }
 }

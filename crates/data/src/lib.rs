@@ -37,7 +37,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use csv::{table_from_csv, table_from_csv_lenient, CsvError, CsvLoadReport};
+pub use csv::{table_from_csv, CsvError};
 pub use exec::{
     execute, execute_with, CacheStats, ExecBudget, ExecCache, ExecError, ExecOptions, ExecSpend,
     ResultSet,

@@ -3,7 +3,6 @@
 use crate::schema::{Column, ColumnType, ForeignKey, TableSchema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A row-oriented in-memory table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,16 +56,6 @@ impl Table {
     /// All values of one column, by name.
     pub fn column_values_by_name(&self, name: &str) -> Option<Vec<Value>> {
         self.schema.column_index(name).map(|i| self.column_values(i))
-    }
-
-    /// Number of distinct non-null values in a column.
-    pub fn distinct_count(&self, idx: usize) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| !r[idx].is_null())
-            .map(|r| &r[idx])
-            .collect::<HashSet<_>>()
-            .len()
     }
 
     /// Re-infer every column's C/T/Q class from the stored data.
@@ -123,14 +112,6 @@ impl Database {
         });
     }
 
-    /// The FK connecting two tables, in either direction.
-    pub fn fk_between(&self, a: &str, b: &str) -> Option<&ForeignKey> {
-        self.foreign_keys.iter().find(|fk| {
-            (fk.from_table.eq_ignore_ascii_case(a) && fk.to_table.eq_ignore_ascii_case(b))
-                || (fk.from_table.eq_ignore_ascii_case(b) && fk.to_table.eq_ignore_ascii_case(a))
-        })
-    }
-
     /// Resolve a column's class; `*` counts as categorical.
     pub fn column_type(&self, table: &str, column: &str) -> Option<ColumnType> {
         if column == "*" {
@@ -149,16 +130,6 @@ impl Database {
             }
         }
         out
-    }
-
-    /// Total number of rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(Table::n_rows).sum()
-    }
-
-    /// Total number of columns across all tables.
-    pub fn total_columns(&self) -> usize {
-        self.tables.iter().map(Table::n_cols).sum()
     }
 }
 
@@ -205,7 +176,6 @@ mod tests {
     fn distinct_and_columns() {
         let t = people();
         assert_eq!(t.n_rows(), 3);
-        assert_eq!(t.distinct_count(1), 2);
         assert_eq!(
             t.column_values_by_name("age").unwrap(),
             vec![Value::Int(30), Value::Int(41), Value::Int(30)]
@@ -234,13 +204,10 @@ mod tests {
             vec![vec![Value::Int(1)]],
         ));
         db.add_foreign_key("people", "dept_id", "dept", "id");
+        assert_eq!(db.foreign_keys[0].to_table, "dept");
         assert!(db.table("PEOPLE").is_some());
-        assert!(db.fk_between("dept", "people").is_some());
-        assert!(db.fk_between("people", "ghost").is_none());
         assert_eq!(db.column_type("people", "age"), Some(ColumnType::Quantitative));
         assert_eq!(db.column_type("people", "*"), Some(ColumnType::Categorical));
-        assert_eq!(db.total_rows(), 4);
-        assert_eq!(db.total_columns(), 3);
         assert_eq!(db.schema_tokens()[0], "people.name");
     }
 }

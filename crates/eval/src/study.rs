@@ -6,30 +6,15 @@ use nv_core::NvBench;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Study configuration (paper defaults: ~10% sample, 23 experts, 312
-/// workers, 3→7 votes per HIT).
-#[derive(Debug, Clone)]
-pub struct StudyConfig {
-    pub sample_frac: f64,
-    pub n_experts: usize,
-    pub n_crowd: usize,
-    pub votes_start: usize,
-    pub votes_cap: usize,
-    pub seed: u64,
-}
-
-impl Default for StudyConfig {
-    fn default() -> Self {
-        StudyConfig {
-            sample_frac: 0.10,
-            n_experts: 23,
-            n_crowd: 312,
-            votes_start: 3,
-            votes_cap: 7,
-            seed: 42,
-        }
-    }
-}
+// The paper's study: 23 experts, 312 crowd workers, 3→7 votes per HIT.
+/// Expert raters.
+const N_EXPERTS: usize = 23;
+/// Crowd workers.
+const N_CROWD: usize = 312;
+/// Crowd votes a HIT starts with, and the cap escalation stops at.
+const VOTES_START: usize = 3;
+const VOTES_CAP: usize = 7;
+const STUDY_SEED: u64 = 42;
 
 /// Likert histogram (index 0 ↔ Strongly Disagree … index 4 ↔ Strongly
 /// Agree).
@@ -68,15 +53,16 @@ impl StudyResult {
     }
 }
 
-/// Run the simulated T1/T2 study.
-pub fn run_study(bench: &NvBench, cfg: &StudyConfig) -> StudyResult {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let experts: Vec<Rater> = (0..cfg.n_experts).map(|_| Rater::expert(&mut rng)).collect();
-    let crowd: Vec<Rater> = (0..cfg.n_crowd).map(|_| Rater::crowd(&mut rng)).collect();
+/// Run the simulated T1/T2 study over a `sample_frac` share of the pairs
+/// (Figure 13 samples ~10%, the Figure 18 injection sweep rates them all).
+pub fn run_study(bench: &NvBench, sample_frac: f64) -> StudyResult {
+    let mut rng = StdRng::seed_from_u64(STUDY_SEED);
+    let experts: Vec<Rater> = (0..N_EXPERTS).map(|_| Rater::expert(&mut rng)).collect();
+    let crowd: Vec<Rater> = (0..N_CROWD).map(|_| Rater::crowd(&mut rng)).collect();
 
     // ~10% sample of pairs.
     let mut sampled: Vec<usize> = (0..bench.pairs.len())
-        .filter(|_| rng.random::<f64>() < cfg.sample_frac)
+        .filter(|_| rng.random::<f64>() < sample_frac)
         .collect();
     if sampled.is_empty() && !bench.pairs.is_empty() {
         sampled.push(0);
@@ -104,8 +90,8 @@ pub fn run_study(bench: &NvBench, cfg: &StudyConfig) -> StudyResult {
         result.expert_t2[(e2.score() - 1) as usize] += 1;
 
         // Crowd HIT: majority vote with escalation.
-        let c1 = majority_vote(&mut rng, &crowd, q1, cfg.votes_start, cfg.votes_cap);
-        let c2 = majority_vote(&mut rng, &crowd, q2, cfg.votes_start, cfg.votes_cap);
+        let c1 = majority_vote(&mut rng, &crowd, q1, VOTES_START, VOTES_CAP);
+        let c2 = majority_vote(&mut rng, &crowd, q2, VOTES_START, VOTES_CAP);
         result.crowd_t1[(c1.score() - 1) as usize] += 1;
         result.crowd_t2[(c2.score() - 1) as usize] += 1;
 
@@ -129,7 +115,7 @@ pub struct InterRater {
 
 pub fn inter_rater(bench: &NvBench, n: usize, seed: u64) -> InterRater {
     let mut rng = StdRng::seed_from_u64(seed);
-    let experts: Vec<Rater> = (0..23).map(|_| Rater::expert(&mut rng)).collect();
+    let experts: Vec<Rater> = (0..N_EXPERTS).map(|_| Rater::expert(&mut rng)).collect();
     let crowd: Vec<Rater> = (0..40).map(|_| Rater::crowd(&mut rng)).collect();
 
     let mut per_pair = Vec::new();
@@ -140,7 +126,7 @@ pub fn inter_rater(bench: &NvBench, n: usize, seed: u64) -> InterRater {
         let vis = &bench.vis_objects[pair.vis_id];
         let (_, q2) = latent_quality(vis, pair);
         let mut ratings: Vec<u8> = Vec::with_capacity(4);
-        ratings.push(experts[rng.random_range(0..23usize)].rate(&mut rng, q2).score());
+        ratings.push(experts[rng.random_range(0..N_EXPERTS)].rate(&mut rng, q2).score());
         for _ in 0..3 {
             ratings.push(crowd[rng.random_range(0..40usize)].rate(&mut rng, q2).score());
         }
@@ -171,8 +157,7 @@ mod tests {
     #[test]
     fn study_regenerates_figure13_shape() {
         let b = bench();
-        let cfg = StudyConfig { sample_frac: 0.6, seed: 42, ..Default::default() };
-        let r = run_study(&b, &cfg);
+        let r = run_study(&b, 0.6);
         assert!(!r.sampled_pairs.is_empty());
         // The paper's headline shapes: most ratings positive, few negative.
         for d in [&r.expert_t1, &r.expert_t2, &r.crowd_t1, &r.crowd_t2] {
@@ -191,15 +176,13 @@ mod tests {
     #[test]
     fn study_is_deterministic() {
         let b = bench();
-        let cfg = StudyConfig { sample_frac: 0.4, ..Default::default() };
-        assert_eq!(run_study(&b, &cfg), run_study(&b, &cfg));
+        assert_eq!(run_study(&b, 0.4), run_study(&b, 0.4));
     }
 
     #[test]
     fn low_rated_pairs_are_a_small_minority() {
         let b = bench();
-        let cfg = StudyConfig { sample_frac: 1.0, ..Default::default() };
-        let r = run_study(&b, &cfg);
+        let r = run_study(&b, 1.0);
         let frac = r.low_rated_pairs.len() as f64 / r.sampled_pairs.len() as f64;
         assert!(frac < 0.30, "low-rated fraction {frac}");
         assert!(!r.low_rated_pairs.is_empty(), "expected some low-rated pairs");

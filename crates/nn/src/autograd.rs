@@ -49,9 +49,9 @@ pub enum KernelPolicy {
 pub struct ParamId(pub usize);
 
 /// One backward pass's parameter gradients, dense over the store's
-/// parameter list (slot `i` ↔ `ParamId(i)`; `None` = untouched). Replaces
-/// the old per-sample `HashMap` — indexable, mergeable in a fixed order,
-/// and cheap to fold into the store.
+/// parameter list (slot `i` ↔ `ParamId(i)`; `None` = untouched, a zero
+/// gradient). Indexable and mergeable in a fixed order; a batch's merged
+/// set is what the optimizer steps on.
 #[derive(Debug, Clone)]
 pub struct GradSet {
     pub grads: Vec<Option<Matrix>>,
@@ -81,13 +81,29 @@ impl GradSet {
             }
         }
     }
+
+    /// Clip gradients to a global L2 norm (the paper clips at 2.0).
+    pub fn clip_global_norm(&mut self, max_norm: f32) {
+        let total: f32 = self
+            .grads
+            .iter()
+            .flatten()
+            .map(|g| g.data.iter().map(|x| x * x).sum::<f32>())
+            .sum::<f32>()
+            .sqrt();
+        if total > max_norm && total > 0.0 {
+            let s = max_norm / total;
+            for g in self.grads.iter_mut().flatten() {
+                g.scale(s);
+            }
+        }
+    }
 }
 
 /// Parameter storage with Adam state.
 #[derive(Debug, Clone)]
 pub struct ParamStore {
     pub mats: Vec<Matrix>,
-    pub grads: Vec<Matrix>,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
     t: u64,
@@ -95,12 +111,11 @@ pub struct ParamStore {
 
 impl ParamStore {
     pub fn new() -> ParamStore {
-        ParamStore { mats: vec![], grads: vec![], m: vec![], v: vec![], t: 0 }
+        ParamStore { mats: vec![], m: vec![], v: vec![], t: 0 }
     }
 
     pub fn add(&mut self, mat: Matrix) -> ParamId {
         let id = self.mats.len();
-        self.grads.push(Matrix::zeros(mat.rows, mat.cols));
         self.m.push(Matrix::zeros(mat.rows, mat.cols));
         self.v.push(Matrix::zeros(mat.rows, mat.cols));
         self.mats.push(mat);
@@ -111,59 +126,29 @@ impl ParamStore {
         &self.mats[id.0]
     }
 
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.fill(0.0);
-        }
-    }
-
     /// Total scalar parameter count.
     pub fn n_scalars(&self) -> usize {
         self.mats.iter().map(|m| m.data.len()).sum()
     }
 
-    /// Clip gradients to a global L2 norm (the paper clips at 2.0).
-    pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let total: f32 = self
-            .grads
-            .iter()
-            .map(|g| g.data.iter().map(|x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt();
-        if total > max_norm && total > 0.0 {
-            let s = max_norm / total;
-            for g in &mut self.grads {
-                g.scale(s);
-            }
-        }
-    }
-
-    /// One Adam update from the accumulated gradients.
-    pub fn adam_step(&mut self, lr: f32) {
+    /// One Adam update from `grads`; an untouched slot steps on a zero
+    /// gradient.
+    pub fn adam_step(&mut self, grads: &GradSet, lr: f32) {
         const B1: f32 = 0.9;
         const B2: f32 = 0.999;
         const EPS: f32 = 1e-8;
         self.t += 1;
         let bc1 = 1.0 - B1.powi(self.t as i32);
         let bc2 = 1.0 - B2.powi(self.t as i32);
-        for i in 0..self.mats.len() {
-            let g = &self.grads[i];
-            for j in 0..g.data.len() {
-                let grad = g.data[j];
+        assert_eq!(grads.grads.len(), self.mats.len());
+        for (i, g) in grads.grads.iter().enumerate() {
+            for j in 0..self.mats[i].data.len() {
+                let grad = g.as_ref().map_or(0.0, |g| g.data[j]);
                 self.m[i].data[j] = B1 * self.m[i].data[j] + (1.0 - B1) * grad;
                 self.v[i].data[j] = B2 * self.v[i].data[j] + (1.0 - B2) * grad * grad;
                 let mhat = self.m[i].data[j] / bc1;
                 let vhat = self.v[i].data[j] / bc2;
                 self.mats[i].data[j] -= lr * mhat / (vhat.sqrt() + EPS);
-            }
-        }
-    }
-
-    /// Fold one backward pass's parameter gradients in.
-    pub fn accumulate(&mut self, gs: &GradSet) {
-        for (i, g) in gs.grads.iter().enumerate() {
-            if let Some(g) = g {
-                self.grads[i].add_assign(g);
             }
         }
     }
@@ -818,13 +803,16 @@ mod tests {
     where
         F: Fn(&mut Tape, &ParamStore) -> T,
     {
-        // Analytic.
-        store.zero_grads();
+        // Analytic; an untouched parameter's gradient is zero.
         let mut tape = Tape::new();
         let loss = forward(&mut tape, store);
         let grads = tape.backward(store, loss);
-        store.accumulate(&grads);
-        let analytic: Vec<Matrix> = store.grads.clone();
+        let analytic: Vec<Matrix> = grads
+            .grads
+            .into_iter()
+            .zip(&store.mats)
+            .map(|(g, m)| g.unwrap_or_else(|| Matrix::zeros(m.rows, m.cols)))
+            .collect();
 
         let eps = 1e-3f32;
         for (pi, analytic) in analytic.iter().enumerate() {
@@ -1049,7 +1037,6 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            store.zero_grads();
             let mut tape = Tape::new();
             let x = tape.constant(Matrix::col(vec![1.0, -1.0]));
             let wp = tape.param(w);
@@ -1058,10 +1045,9 @@ mod tests {
             let loss = tape.nll(&store, p, 1);
             last = tape.value(&store, loss).data[0];
             first.get_or_insert(last);
-            let grads = tape.backward(&store, loss);
-            store.accumulate(&grads);
-            store.clip_global_norm(2.0);
-            store.adam_step(0.05);
+            let mut grads = tape.backward(&store, loss);
+            grads.clip_global_norm(2.0);
+            store.adam_step(&grads, 0.05);
         }
         assert!(last < first.unwrap() * 0.2, "{} → {last}", first.unwrap());
     }
@@ -1085,14 +1071,15 @@ mod tests {
     fn clip_global_norm_scales() {
         let mut store = ParamStore::new();
         let w = store.add(Matrix::zeros(2, 2));
-        store.grads[w.0] = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        store.clip_global_norm(1.0);
-        let n: f32 = store.grads[w.0].norm();
+        let mut gs = GradSet::for_store(&store);
+        gs.grads[w.0] = Some(Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]));
+        gs.clip_global_norm(1.0);
+        let n: f32 = gs.get(w).unwrap().norm();
         assert!((n - 1.0).abs() < 1e-5);
         // Below the max: untouched.
-        store.grads[w.0] = Matrix::from_vec(2, 2, vec![0.1, 0.0, 0.0, 0.1]);
-        store.clip_global_norm(1.0);
-        assert!((store.grads[w.0].data[0] - 0.1).abs() < 1e-7);
+        gs.grads[w.0] = Some(Matrix::from_vec(2, 2, vec![0.1, 0.0, 0.0, 0.1]));
+        gs.clip_global_norm(1.0);
+        assert!((gs.get(w).unwrap().data[0] - 0.1).abs() < 1e-7);
     }
 
     #[test]

@@ -348,10 +348,6 @@ impl Matrix {
         }
     }
 
-    pub fn fill(&mut self, v: f32) {
-        self.data.fill(v);
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -716,7 +712,5 @@ mod tests {
         assert_eq!(a.data, vec![4.0, 6.0]);
         a.scale(0.5);
         assert_eq!(a.data, vec![2.0, 3.0]);
-        a.fill(0.0);
-        assert_eq!(a.norm(), 0.0);
     }
 }

@@ -418,7 +418,6 @@ impl Seq2Seq {
         let threads = self.threads();
         for chunk in samples.chunks(batch) {
             let _step = nv_trace::span("nn.step");
-            self.store.zero_grads();
             let results: Vec<(GradSet, f32)> =
                 nv_core::par::map_ordered(chunk, threads, || (), |_, _, s| self.sample_grads(s));
             let mut grad_sets = Vec::with_capacity(results.len());
@@ -428,18 +427,17 @@ impl Seq2Seq {
                 count += 1;
             }
             let _optim = nv_trace::span("nn.optim");
-            if let Some(merged) = nv_core::par::tree_reduce(grad_sets, |mut a, b| {
+            let mut grads = nv_core::par::tree_reduce(grad_sets, |mut a, b| {
                 a.merge(b);
                 a
-            }) {
-                self.store.accumulate(&merged);
-            }
-            // Mean over the batch.
-            for g in &mut self.store.grads {
+            })
+            .expect("a chunk is never empty");
+            // Mean over the batch, then clip, then step.
+            for g in grads.grads.iter_mut().flatten() {
                 g.scale(1.0 / chunk.len() as f32);
             }
-            self.store.clip_global_norm(self.cfg.clip);
-            self.store.adam_step(self.cfg.lr);
+            grads.clip_global_norm(self.cfg.clip);
+            self.store.adam_step(&grads, self.cfg.lr);
         }
         (total / count.max(1) as f64) as f32
     }

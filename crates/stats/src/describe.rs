@@ -1,5 +1,5 @@
 //! Descriptive statistics: moments, quartiles, skewness classes, IQR
-//! outliers, histograms and Pearson correlation — everything Figures 8–9 and
+//! outliers and Pearson correlation — everything Figures 8–9 and
 //! the DeepEye feature extractor need.
 
 /// Summary of a numeric sample.
@@ -138,49 +138,6 @@ impl OutlierClass {
     }
 }
 
-/// A histogram over explicit bucket boundaries: bucket `i` counts values in
-/// `[edges[i], edges[i+1])`; the last bucket is closed on the right.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    pub edges: Vec<f64>,
-    pub counts: Vec<usize>,
-}
-
-impl Histogram {
-    pub fn with_edges(edges: Vec<f64>, values: &[f64]) -> Histogram {
-        assert!(edges.len() >= 2, "need at least two edges");
-        let mut counts = vec![0usize; edges.len() - 1];
-        let last = counts.len() - 1;
-        for &v in values {
-            if v < edges[0] || v > edges[edges.len() - 1] {
-                continue;
-            }
-            // Linear scan is fine: figure histograms have < 20 buckets.
-            for i in 0..counts.len() {
-                let hi_ok = if i == last { v <= edges[i + 1] } else { v < edges[i + 1] };
-                if v >= edges[i] && hi_ok {
-                    counts[i] += 1;
-                    break;
-                }
-            }
-        }
-        Histogram { edges, counts }
-    }
-
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Render one `label: count` line per bucket — the textual "figure".
-    pub fn render(&self, label_fmt: impl Fn(f64, f64) -> String) -> Vec<String> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{}: {}", label_fmt(self.edges[i], self.edges[i + 1]), c))
-            .collect()
-    }
-}
-
 /// Pearson correlation coefficient; `None` when either side is constant or
 /// lengths differ / are < 2.
 pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
@@ -259,18 +216,6 @@ mod tests {
         assert_eq!(OutlierClass::of(0.005), OutlierClass::UpTo1);
         assert_eq!(OutlierClass::of(0.05), OutlierClass::OneToTen);
         assert_eq!(OutlierClass::of(0.5), OutlierClass::MoreThanTen);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = Histogram::with_edges(
-            vec![0.0, 5.0, 10.0],
-            &[0.0, 1.0, 4.9, 5.0, 9.9, 10.0, 11.0, -1.0],
-        );
-        assert_eq!(h.counts, vec![3, 3]); // 10.0 lands in the closed last bucket
-        assert_eq!(h.total(), 6);
-        let lines = h.render(|lo, hi| format!("{lo}-{hi}"));
-        assert_eq!(lines[0], "0-5: 3");
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! * [`fit`] — Kolmogorov–Smirnov goodness-of-fit with parameter estimation
 //!   (reproduces the Figure-9(a) column-distribution census);
 //! * [`describe`] — moments, quartiles, skewness classes, IQR outliers,
-//!   histograms, Pearson correlation (Figures 8, 9(b), 9(c); DeepEye
-//!   features);
+//!   Pearson correlation (Figures 8, 9(b), 9(c); DeepEye features);
 //! * [`bleu`] — BLEU for the NL-diversity column of Table 3.
 
 pub mod bleu;
@@ -18,6 +17,6 @@ pub mod sample;
 pub mod special;
 
 pub use bleu::{avg_pairwise_bleu, sentence_bleu, simple_tokens};
-pub use describe::{outlier_fraction, pearson, Histogram, OutlierClass, SkewClass, Summary};
+pub use describe::{outlier_fraction, pearson, OutlierClass, SkewClass, Summary};
 pub use fit::{fit_best, ks_critical, ks_statistic, FitResult};
 pub use sample::{Dist, DistFamily};

@@ -3,15 +3,19 @@
 //! expert rules and the trained classifier; only good charts survive.
 
 use crate::edits::VisCandidate;
+use nv_ast::ChartType;
 use nv_data::{Database, ExecError, ExecOptions};
 use nv_quality::DeepEyeFilter;
-use nv_render::{chart_data_with, ChartData, RenderError};
+use nv_render::{chart_data_with, RenderError};
 
-/// A candidate that survived filtering, with its executed chart data.
+/// A candidate that survived filtering. Its executed chart rows are dropped
+/// once the filter has scored them: nothing downstream reads more than the
+/// chart type, so a kept pair holds trees and NL, not data.
 #[derive(Debug, Clone)]
 pub struct GoodVis {
     pub candidate: VisCandidate,
-    pub data: ChartData,
+    /// The chart type the candidate rendered as (`candidate.tree.chart`).
+    pub chart: ChartType,
     /// The filter's ranking score, computed in the same pass as the verdict
     /// so downstream ranking never re-extracts chart features.
     pub score: f64,
@@ -66,7 +70,7 @@ pub fn filter_candidates(
                 let (is_good, score) = filter.evaluate(&data);
                 if is_good {
                     stats.kept += 1;
-                    good.push(GoodVis { candidate, data, score });
+                    good.push(GoodVis { candidate, chart: data.chart, score });
                 } else {
                     stats.pruned += 1;
                 }
@@ -150,8 +154,15 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(plain.len(), cached.len());
         for (a, b) in plain.iter().zip(&cached) {
-            assert_eq!(a.data, b.data);
+            assert_eq!(a.candidate.tree.to_vql(), b.candidate.tree.to_vql());
+            assert_eq!(a.chart, b.chart);
             assert_eq!(a.score, b.score);
+            // The kept chart's rows, served from the warm cache, equal an
+            // uncached render.
+            let warm = ExecOptions { cache: Some(&mut cache), ..ExecOptions::default() };
+            let tree = &b.candidate.tree;
+            let uncached = nv_render::chart_data(&d, tree).unwrap();
+            assert_eq!(chart_data_with(&d, tree, warm).unwrap(), uncached);
         }
         assert!(cache.stats.hits() > 0, "{:?}", cache.stats);
     }
@@ -162,9 +173,9 @@ mod tests {
         let d = db(5);
         let cands = generate_candidates(&d, &parse_vql_str("select t.cat from t").unwrap());
         let (good, _) = filter_candidates(&d, cands, &filter, ExecOptions::default()).unwrap();
+        assert!(!good.is_empty());
         for g in &good {
-            assert!(!g.data.rows.is_empty());
-            assert_eq!(Some(g.data.chart), g.candidate.tree.chart);
+            assert_eq!(Some(g.chart), g.candidate.tree.chart);
         }
     }
 
