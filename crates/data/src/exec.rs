@@ -12,6 +12,18 @@
 //! (`nv-render`), "result matching accuracy" for seq2vis, and DeepEye
 //! feature extraction (`nv-quality`).
 //!
+//! ## Bound query bodies
+//!
+//! Each query body is bound once, before its row and group loops: every
+//! column reference in WHERE, SELECT, GROUP/BIN, HAVING and ORDER/TOP is
+//! resolved to an index, and every subquery operand gets a slot at its
+//! position in the bound predicate. A reference that does not resolve keeps
+//! its error, raised where the column is first read. A slot runs its
+//! subquery at most once per execution, on first use; each later use (the
+//! next row or group) checks the subquery depth again and replays the fuel
+//! and peak rows the run charged. Results and [`ExecSpend`] are therefore
+//! those of re-running the subquery for every row.
+//!
 //! ## Execution caching
 //!
 //! Synthesis executes dozens of candidate VIS queries per (NL, SQL) pair,
@@ -20,21 +32,19 @@
 //! [`ExecCache`] exploits that: it memoizes, per database,
 //!
 //! 1. **scans** — the joined + WHERE-filtered row set, keyed by the
-//!    canonical form of `(FROM, JOINs, WHERE)`;
+//!    canonical form of `(FROM, JOINs, WHERE)`, which also covers every
+//!    WHERE that holds a subquery;
 //! 2. **groups** — grouped/binned row-index partitions over a cached scan,
-//!    keyed by scan key plus the group/bin spec;
-//! 3. **subquery results** — full result sets of predicate subqueries,
-//!    keyed by the canonical sub-tree (this also lifts subquery execution
-//!    out of the per-row predicate loop).
+//!    keyed by scan key plus the group/bin spec.
 //!
 //! Cached data is shared via `Arc` and never mutated, so [`execute_with`]
 //! through a cache ([`ExecOptions::cache`]) is bit-identical to [`execute`]
 //! — the cache is a pure performance layer. A cache is bound to the first
 //! database it sees; using it with another returns [`ExecError::Internal`].
 //!
-//! All three layers share one memo protocol (the private `Exec::memo`): a
-//! hit replays the fuel and peak rows its cold build charged, so budget
-//! accounting cannot tell warm from cold. WHERE and HAVING share one
+//! Both layers share one memo protocol (the private `Exec::memo`): a hit
+//! replays the fuel, peak rows and scanned rows its cold build charged, so
+//! budget accounting cannot tell warm from cold. WHERE and HAVING share one
 //! predicate walker; only the attribute read differs (a row's cell or a
 //! group's aggregate).
 
@@ -42,6 +52,8 @@ use crate::schema::ColumnType;
 use crate::table::Database;
 use crate::value::Value;
 use nv_ast::*;
+use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -128,34 +140,56 @@ struct Meter {
     /// section (see [`Self::begin_section`]); after all sections close,
     /// the largest across the whole execution.
     peak_rows: usize,
+    /// Output rows of every query body's scan (`data.exec.scan_rows`).
+    /// Cache hits replay the count their cold build recorded and a subquery
+    /// slot counts its subquery once, so the total depends on neither
+    /// cache state nor thread partitioning.
+    scan_rows: u64,
+}
+
+/// What one metered section charged: exactly what a cache hit or a filled
+/// subquery slot later [`Meter::replay`]s.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    fuel: u64,
+    peak_rows: usize,
+    scan_rows: u64,
 }
 
 impl Meter {
     fn new(budget: ExecBudget) -> Meter {
-        Meter { budget, fuel_used: 0, depth: 0, peak_rows: 0 }
+        Meter { budget, fuel_used: 0, depth: 0, peak_rows: 0, scan_rows: 0 }
     }
 
     /// Start measuring a cacheable computation: returns a mark capturing
-    /// fuel-so-far and the enclosing section's peak. Sections nest.
-    fn begin_section(&mut self) -> (u64, usize) {
-        (self.fuel_used, std::mem::take(&mut self.peak_rows))
+    /// fuel and scan rows so far and the enclosing section's peak. Sections
+    /// nest.
+    fn begin_section(&mut self) -> Charge {
+        Charge {
+            fuel: self.fuel_used,
+            peak_rows: std::mem::take(&mut self.peak_rows),
+            scan_rows: self.scan_rows,
+        }
     }
 
-    /// Close a section: returns `(fuel_delta, peak_rows)` spent inside it —
-    /// exactly what a cache hit must later [`Self::replay`] — and folds the
+    /// Close a section: returns what was charged inside it and folds the
     /// section's peak back into the enclosing one.
-    fn end_section(&mut self, mark: (u64, usize)) -> (u64, usize) {
-        let fuel = self.fuel_used - mark.0;
+    fn end_section(&mut self, mark: Charge) -> Charge {
         let peak = self.peak_rows;
-        self.peak_rows = peak.max(mark.1);
-        (fuel, peak)
+        self.peak_rows = peak.max(mark.peak_rows);
+        Charge {
+            fuel: self.fuel_used - mark.fuel,
+            peak_rows: peak,
+            scan_rows: self.scan_rows - mark.scan_rows,
+        }
     }
 
-    /// Charge a cache hit with the spend its cold construction recorded,
-    /// so warm and cold runs are indistinguishable to the budget.
-    fn replay(&mut self, fuel: u64, peak_rows: usize, what: &str) -> Result<(), ExecError> {
-        self.check_rows(peak_rows, what)?;
-        self.charge(fuel)
+    /// Charge a cache hit or a filled slot with what its first build
+    /// recorded, so reuse is indistinguishable to the budget.
+    fn replay(&mut self, c: Charge, what: &str) -> Result<(), ExecError> {
+        self.scan_rows += c.scan_rows;
+        self.check_rows(c.peak_rows, what)?;
+        self.charge(c.fuel)
     }
 
     /// Spend `units` fuel (one unit ≈ one row visited).
@@ -257,41 +291,37 @@ pub struct CacheStats {
     pub scan_misses: u64,
     pub group_hits: u64,
     pub group_misses: u64,
-    pub result_hits: u64,
-    pub result_misses: u64,
 }
 
 impl CacheStats {
     pub fn hits(&self) -> u64 {
-        self.scan_hits + self.group_hits + self.result_hits
+        self.scan_hits + self.group_hits
     }
 
     pub fn misses(&self) -> u64 {
-        self.scan_misses + self.group_misses + self.result_misses
+        self.scan_misses + self.group_misses
     }
 }
 
-/// Per-database memo of scans, groupings, and subquery results (see the
-/// module docs). Purely additive: results through a cache are identical to
-/// uncached execution, and each entry remembers the budget spend of its
-/// cold construction so hits charge the meter identically.
+/// Per-database memo of scans and groupings (see the module docs). Purely
+/// additive: results through a cache are identical to uncached execution,
+/// and each entry remembers the budget spend of its cold construction so
+/// hits charge the meter identically.
 #[derive(Debug, Default)]
 pub struct ExecCache {
     /// Name of the database this cache is bound to (set on first use).
     db_name: Option<String>,
     scans: HashMap<String, Cached<ScanData>>,
     groups: HashMap<String, Cached<Vec<GroupEntry>>>,
-    results: HashMap<String, Cached<ResultSet>>,
     pub stats: CacheStats,
 }
 
-/// A memoized value plus the budget spend its construction charged, so a
-/// hit can [`Meter::replay`] it.
+/// A memoized value plus what its construction charged, so a hit can
+/// [`Meter::replay`] it.
 #[derive(Debug)]
 struct Cached<T> {
     value: Arc<T>,
-    fuel: u64,
-    peak_rows: usize,
+    charge: Charge,
 }
 
 impl ExecCache {
@@ -301,7 +331,7 @@ impl ExecCache {
 
     /// Number of memoized entries across all layers.
     pub fn len(&self) -> usize {
-        self.scans.len() + self.groups.len() + self.results.len()
+        self.scans.len() + self.groups.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -362,8 +392,7 @@ pub struct ExecSpend {
 #[derive(Debug, Default)]
 pub struct ExecOptions<'c> {
     /// Memo to execute through. Output is bit-identical with or without
-    /// one; repeated FROM/WHERE/GROUP fragments and subqueries are computed
-    /// once.
+    /// one; repeated FROM/WHERE/GROUP fragments are computed once.
     pub cache: Option<&'c mut ExecCache>,
     pub budget: ExecBudget,
 }
@@ -389,7 +418,7 @@ pub fn execute_with(
     let rs = e.set(db, &q.query)?;
     let spend = ExecSpend { fuel_used: e.meter.fuel_used, peak_rows: e.meter.peak_rows };
     let stats = stats_before.zip(e.cache.map(|c| c.stats));
-    trace_exec(&rs, spend, stats);
+    trace_exec(&rs, &e.meter, stats);
     Ok((rs, spend))
 }
 
@@ -398,21 +427,20 @@ pub fn execute_with(
 /// under parallel per-worker caches, so those counters live under
 /// `data.cache.` and are excluded from cross-thread determinism checks
 /// (their per-layer hit+miss sums stay deterministic).
-fn trace_exec(rs: &ResultSet, spend: ExecSpend, stats: Option<(CacheStats, CacheStats)>) {
+fn trace_exec(rs: &ResultSet, meter: &Meter, stats: Option<(CacheStats, CacheStats)>) {
     if !nv_trace::enabled() {
         return;
     }
     nv_trace::count("data.exec.calls", 1);
-    nv_trace::count("data.exec.fuel_used", spend.fuel_used);
+    nv_trace::count("data.exec.fuel_used", meter.fuel_used);
     nv_trace::count("data.exec.rows_out", rs.rows.len() as u64);
-    nv_trace::gauge_max("data.exec.peak_rows", spend.peak_rows as u64);
+    nv_trace::count("data.exec.scan_rows", meter.scan_rows);
+    nv_trace::gauge_max("data.exec.peak_rows", meter.peak_rows as u64);
     if let Some((before, after)) = stats {
         nv_trace::count("data.cache.scan.hits", after.scan_hits - before.scan_hits);
         nv_trace::count("data.cache.scan.misses", after.scan_misses - before.scan_misses);
         nv_trace::count("data.cache.group.hits", after.group_hits - before.group_hits);
         nv_trace::count("data.cache.group.misses", after.group_misses - before.group_misses);
-        nv_trace::count("data.cache.result.hits", after.result_hits - before.result_hits);
-        nv_trace::count("data.cache.result.misses", after.result_misses - before.result_misses);
     }
 }
 
@@ -474,8 +502,8 @@ impl Exec<'_> {
 
     /// The one cache protocol. With no `key` (no cache), just `build`. With
     /// a key, a hit counts in `layer`'s stats and [`Meter::replay`]s the
-    /// spend its cold build recorded; a miss counts, builds inside a meter
-    /// section, and stores the value with that section's spend. Keys are
+    /// charge its cold build recorded; a miss counts, builds inside a meter
+    /// section, and stores the value with that section's charge. Keys are
     /// the canonical debug forms of the memoized fragment.
     fn memo<T>(
         &mut self,
@@ -489,17 +517,17 @@ impl Exec<'_> {
             let (map, hits, misses) = layer(c);
             if let Some(hit) = map.get(&key) {
                 *hits += 1;
-                let (value, fuel, peak) = (Arc::clone(&hit.value), hit.fuel, hit.peak_rows);
-                self.meter.replay(fuel, peak, what)?;
+                let (value, charge) = (Arc::clone(&hit.value), hit.charge);
+                self.meter.replay(charge, what)?;
                 return Ok(value);
             }
             *misses += 1;
         }
         let mark = self.meter.begin_section();
         let value = Arc::new(build(self)?);
-        let (fuel, peak_rows) = self.meter.end_section(mark);
+        let charge = self.meter.end_section(mark);
         if let Some(c) = self.cache.as_deref_mut() {
-            layer(c).0.insert(key, Cached { value: Arc::clone(&value), fuel, peak_rows });
+            layer(c).0.insert(key, Cached { value: Arc::clone(&value), charge });
         }
         Ok(value)
     }
@@ -521,10 +549,11 @@ impl Exec<'_> {
         let scan = self.memo(key.clone(), layer, "table scan", |e| {
             let rel = build_from(db, body, &mut e.meter)?;
             e.meter.charge(rel.rows.len() as u64)?;
+            let where_b = where_p.as_ref().map(|p| bind(p, &|a| row_col(&rel.cols, a)));
             let mut kept: Vec<Vec<Value>> = Vec::with_capacity(rel.rows.len());
             for row in rel.rows.iter() {
-                let keep = match where_p {
-                    Some(p) => e.eval_pred(db, p, &|a| row_attr_value(&rel, row, a))?,
+                let keep = match &where_b {
+                    Some(p) => e.eval_pred(db, p, &|c: &Col| c.clone().map(|i| &row[i]))?,
                     None => true,
                 };
                 if keep {
@@ -561,20 +590,24 @@ impl Exec<'_> {
         };
 
         let (scan, scan_key) = self.scan(db, body, &where_p)?;
-        // Counted on hits and misses alike, so the total is independent of
-        // cache state and thread partitioning.
-        nv_trace::count("data.exec.scan_rows", scan.rows.len() as u64);
+        self.meter.scan_rows += scan.rows.len() as u64;
 
         // Grouping plan.
         let explicit_group = body.group.clone().filter(|g| !g.is_empty());
         let has_agg = body.select.iter().any(Attr::is_aggregated) || having_p.is_some();
         let grouped = explicit_group.is_some() || has_agg;
 
+        let sel_cols: Vec<Col> = body
+            .select
+            .iter()
+            .map(|a| col_idx(&scan.cols, &a.col))
+            .collect();
         let columns: Vec<String> = body.select.iter().map(attr_display).collect();
         let types: Vec<ColumnType> = body
             .select
             .iter()
-            .map(|a| attr_out_type(&scan, a))
+            .zip(&sel_cols)
+            .map(|(a, c)| attr_out_type(&scan.types, a, c))
             .collect();
 
         let mut out_rows: Vec<(Vec<Value>, Option<Value>, Option<Value>)> = Vec::new();
@@ -595,46 +628,40 @@ impl Exec<'_> {
             };
             let entries = self.groups(&scan, scan_key.as_deref(), &key_cols, &bin)?;
 
-            let bin_col = bin.as_ref().map(|b| b.col.clone());
+            // The binned column projects its bin label and grouping keys
+            // project the key value; ORDER/TOP read keys but not labels,
+            // and HAVING always aggregates over the group's rows.
+            let bin_col = bin.as_ref().map(|b| &b.col);
+            let sel: Vec<GroupRead> = body
+                .select
+                .iter()
+                .zip(sel_cols)
+                .map(|(a, c)| GroupRead::new(a, c, &key_cols, bin_col))
+                .collect();
+            let order_read =
+                |a: &Attr| GroupRead::new(a, col_idx(&scan.cols, &a.col), &key_cols, None);
+            let ord = body.order.as_ref().map(|o| order_read(&o.attr));
+            let sup = body.superlative.as_ref().map(|s| order_read(&s.attr));
+            let having = having_p.as_ref().map(|h| {
+                bind(h, &|a| {
+                    GroupRead::new(a, col_idx(&scan.cols, &a.col), &[], None)
+                })
+            });
+
             for entry in entries.iter() {
-                if let Some(h) = &having_p {
-                    let value_of = |a: &Attr| group_attr_value(&scan, &entry.rows, a);
-                    if !self.eval_pred(db, h, &value_of)? {
+                let read = |r: &GroupRead| r.read(&scan, entry);
+                if let Some(h) = &having {
+                    if !self.eval_pred(db, h, &read)? {
                         continue;
                     }
                 }
-                let mut out = Vec::with_capacity(body.select.len());
-                for a in &body.select {
-                    // The binned column projects its bin label.
-                    if a.agg == AggFunc::None && Some(&a.col) == bin_col.as_ref() {
-                        out.push(entry.label.clone());
-                        continue;
-                    }
-                    // Grouping keys project the key value directly.
-                    if a.agg == AggFunc::None {
-                        if let Some(pos) = key_cols.iter().position(|c| *c == a.col) {
-                            out.push(entry.key[pos].clone());
-                            continue;
-                        }
-                    }
-                    out.push(group_attr_value(&scan, &entry.rows, a)?);
-                }
-                let ord_v = match &body.order {
-                    Some(o) => Some(order_value(&scan, entry, &key_cols, &o.attr)?),
-                    None => None,
-                };
-                let sup_v = match &body.superlative {
-                    Some(s) => Some(order_value(&scan, entry, &key_cols, &s.attr)?),
-                    None => None,
-                };
+                let out = sel.iter().map(read).collect::<Result<Vec<Value>, _>>()?;
+                let ord_v = ord.as_ref().map(read).transpose()?;
+                let sup_v = sup.as_ref().map(read).transpose()?;
                 out_rows.push((out, ord_v, sup_v));
             }
         } else {
-            let sel_idx: Vec<usize> = body
-                .select
-                .iter()
-                .map(|a| col_idx(&scan.cols, &a.col))
-                .collect::<Result<_, _>>()?;
+            let sel_idx: Vec<usize> = sel_cols.into_iter().collect::<Result<_, _>>()?;
             let ord_idx = match &body.order {
                 Some(o) => Some(col_idx(&scan.cols, &o.attr.col)?),
                 None => None,
@@ -687,79 +714,182 @@ impl Exec<'_> {
         })
     }
 
-    /// Literal operands become one value; lists become many; subqueries
-    /// execute (memoized when a cache is present) and contribute their
-    /// first column.
-    fn operand_values(&mut self, db: &Database, o: &Operand) -> Result<Vec<Value>, ExecError> {
-        match o {
-            Operand::Lit(l) => Ok(vec![Value::from_literal(l)]),
-            Operand::List(ls) => Ok(ls.iter().map(Value::from_literal).collect()),
-            Operand::Subquery(q) => {
-                // Depth is checked before the cache lookup so the limit trips
-                // identically with and without a warm cache.
+    /// The values of a bound operand. A subquery's depth is checked on
+    /// every use, so the limit trips identically whether its slot is empty
+    /// or filled.
+    fn arg<'a>(&mut self, db: &Database, arg: &'a Arg<'_>) -> Result<&'a [Value], ExecError> {
+        match arg {
+            Arg::Values(vals) => Ok(vals),
+            Arg::Subquery(q, slot) => {
                 self.meter.enter_subquery()?;
-                let r = self.subquery_values(db, q);
+                let r = self.subquery(db, q, slot);
                 self.meter.exit_subquery();
                 r
             }
         }
     }
 
-    fn subquery_values(&mut self, db: &Database, q: &SetQuery) -> Result<Vec<Value>, ExecError> {
-        let key = self.cache.is_some().then(|| format!("{q:?}"));
-        let layer: Layer<ResultSet> =
-            |c| (&mut c.results, &mut c.stats.result_hits, &mut c.stats.result_misses);
-        let rs = self.memo(key, layer, "subquery", |e| e.set(db, q))?;
-        Ok(rs.rows.iter().filter_map(|r| r.first().cloned()).collect())
-    }
-
-    /// Evaluate a WHERE or HAVING predicate; `value_of` reads an attribute
-    /// (a row's cell for WHERE, a group aggregate for HAVING). And/Or
-    /// short-circuit left to right, so operand subqueries — and their fuel —
-    /// run in a fixed order.
-    fn eval_pred<F: Fn(&Attr) -> Result<Value, ExecError>>(
+    /// Run a subquery into its empty slot, keeping its first column and
+    /// what the run charged; replay that charge from a filled slot. The
+    /// slot counts its subquery's scan rows once, on the run.
+    fn subquery<'a>(
         &mut self,
         db: &Database,
-        p: &Predicate,
-        value_of: &F,
+        q: &SetQuery,
+        slot: &'a OnceCell<(Vec<Value>, Charge)>,
+    ) -> Result<&'a [Value], ExecError> {
+        if let Some((vals, charge)) = slot.get() {
+            self.meter.replay(*charge, "subquery")?;
+            return Ok(vals);
+        }
+        let mark = self.meter.begin_section();
+        let rs = self.set(db, q)?;
+        let charge = Charge { scan_rows: 0, ..self.meter.end_section(mark) };
+        let vals = rs
+            .rows
+            .into_iter()
+            .filter_map(|r| r.into_iter().next())
+            .collect();
+        Ok(&slot.get_or_init(|| (vals, charge)).0)
+    }
+
+    /// Evaluate a bound WHERE or HAVING predicate; `value_of` reads an
+    /// attribute (a row's cell for WHERE, a group aggregate for HAVING).
+    /// And/Or short-circuit left to right, so operand subqueries — and
+    /// their fuel — run in a fixed order.
+    fn eval_pred<A, V: Borrow<Value>>(
+        &mut self,
+        db: &Database,
+        p: &Bound<'_, A>,
+        value_of: &impl Fn(&A) -> Result<V, ExecError>,
     ) -> Result<bool, ExecError> {
         match p {
-            Predicate::And(l, r) => {
+            Bound::And(l, r) => {
                 Ok(self.eval_pred(db, l, value_of)? && self.eval_pred(db, r, value_of)?)
             }
-            Predicate::Or(l, r) => {
+            Bound::Or(l, r) => {
                 Ok(self.eval_pred(db, l, value_of)? || self.eval_pred(db, r, value_of)?)
             }
-            Predicate::Cmp { op, attr, rhs } => {
+            Bound::Cmp { op, attr, rhs } => {
                 let v = value_of(attr)?;
-                let rv = self.operand_values(db, rhs)?;
-                let Some(first) = rv.first() else { return Ok(false) };
-                Ok(cmp_values(&v, first, *op))
+                let Some(first) = self.arg(db, rhs)?.first() else { return Ok(false) };
+                Ok(cmp_values(v.borrow(), first, *op))
             }
-            Predicate::Between { attr, low, high } => {
+            Bound::Between { attr, low, high } => {
                 let v = value_of(attr)?;
-                let lo = self.operand_values(db, low)?;
-                let hi = self.operand_values(db, high)?;
+                let lo = self.arg(db, low)?;
+                let hi = self.arg(db, high)?;
                 match (lo.first(), hi.first()) {
-                    (Some(lo), Some(hi)) => {
-                        Ok(cmp_values(&v, lo, CmpOp::Ge) && cmp_values(&v, hi, CmpOp::Le))
-                    }
+                    (Some(lo), Some(hi)) => Ok(cmp_values(v.borrow(), lo, CmpOp::Ge)
+                        && cmp_values(v.borrow(), hi, CmpOp::Le)),
                     _ => Ok(false),
                 }
             }
-            Predicate::Like { attr, pattern, negated } => {
+            Bound::Like { attr, pattern, negated } => {
                 let v = value_of(attr)?;
+                let v = v.borrow();
                 Ok(!v.is_null() && (v.like(pattern) != *negated))
             }
-            Predicate::In { attr, rhs, negated } => {
+            Bound::In { attr, rhs, negated } => {
                 let v = value_of(attr)?;
+                let v = v.borrow();
                 if v.is_null() {
                     return Ok(false);
                 }
-                let vals = self.operand_values(db, rhs)?;
+                let vals = self.arg(db, rhs)?;
                 Ok(vals.iter().any(|x| v.sql_eq(x)) != *negated)
             }
         }
+    }
+}
+
+/// A column reference resolved against a relation's columns. One that does
+/// not resolve keeps its error, which the first read of the column raises.
+type Col = Result<usize, ExecError>;
+
+/// A WHERE or HAVING predicate bound once per query body, before its row or
+/// group loop. Attributes are read through `A` (a [`Col`] of the row for
+/// WHERE, a [`GroupRead`] for HAVING).
+enum Bound<'q, A> {
+    And(Box<Bound<'q, A>>, Box<Bound<'q, A>>),
+    Or(Box<Bound<'q, A>>, Box<Bound<'q, A>>),
+    Cmp { op: CmpOp, attr: A, rhs: Arg<'q> },
+    Between { attr: A, low: Arg<'q>, high: Arg<'q> },
+    Like { attr: A, pattern: &'q str, negated: bool },
+    In { attr: A, rhs: Arg<'q>, negated: bool },
+}
+
+/// A bound operand: literals converted to values once, or a subquery with
+/// its slot. The slot lives at the operand's position in the bound
+/// predicate and is empty until the subquery first runs in this execution.
+enum Arg<'q> {
+    Values(Vec<Value>),
+    Subquery(&'q SetQuery, OnceCell<(Vec<Value>, Charge)>),
+}
+
+fn bind<'q, A>(p: &'q Predicate, attr: &impl Fn(&Attr) -> A) -> Bound<'q, A> {
+    let arg = |o: &'q Operand| match o {
+        Operand::Lit(l) => Arg::Values(vec![Value::from_literal(l)]),
+        Operand::List(ls) => Arg::Values(ls.iter().map(Value::from_literal).collect()),
+        Operand::Subquery(q) => Arg::Subquery(q, OnceCell::new()),
+    };
+    match p {
+        Predicate::And(l, r) => Bound::And(Box::new(bind(l, attr)), Box::new(bind(r, attr))),
+        Predicate::Or(l, r) => Bound::Or(Box::new(bind(l, attr)), Box::new(bind(r, attr))),
+        Predicate::Cmp { op, attr: a, rhs } => Bound::Cmp { op: *op, attr: attr(a), rhs: arg(rhs) },
+        Predicate::Between { attr: a, low, high } => {
+            Bound::Between { attr: attr(a), low: arg(low), high: arg(high) }
+        }
+        Predicate::Like { attr: a, pattern, negated } => {
+            Bound::Like { attr: attr(a), pattern, negated: *negated }
+        }
+        Predicate::In { attr: a, rhs, negated } => {
+            Bound::In { attr: attr(a), rhs: arg(rhs), negated: *negated }
+        }
+    }
+}
+
+/// How an attribute reads one group of a grouped scan.
+enum GroupRead {
+    /// The group's bin label.
+    Label,
+    /// One of the group's key values.
+    Key(usize),
+    /// `count(*)`: the group's row count.
+    CountRows,
+    /// An aggregate (or, unaggregated, the first non-null value) over the
+    /// column's cells in the group's rows.
+    Agg { agg: AggFunc, distinct: bool, col: Col },
+}
+
+impl GroupRead {
+    /// Bind `a`, whose column resolved to `col`. A bare attribute equal to
+    /// `label` reads the bin label; one among `keys` reads its key value.
+    fn new(a: &Attr, col: Col, keys: &[ColumnRef], label: Option<&ColumnRef>) -> GroupRead {
+        if a.agg == AggFunc::None {
+            if Some(&a.col) == label {
+                return GroupRead::Label;
+            }
+            if let Some(pos) = keys.iter().position(|k| *k == a.col) {
+                return GroupRead::Key(pos);
+            }
+        }
+        if a.agg == AggFunc::Count && a.col.is_star() {
+            return GroupRead::CountRows;
+        }
+        GroupRead::Agg { agg: a.agg, distinct: a.distinct, col }
+    }
+
+    fn read(&self, scan: &ScanData, entry: &GroupEntry) -> Result<Value, ExecError> {
+        Ok(match self {
+            GroupRead::Label => entry.label.clone(),
+            GroupRead::Key(pos) => entry.key[*pos].clone(),
+            GroupRead::CountRows => Value::Int(entry.rows.len() as i64),
+            GroupRead::Agg { agg, distinct, col } => {
+                let c = col.clone()?;
+                agg_over(*agg, *distinct, entry.rows.iter().map(|&i| &scan.rows[i][c]))
+            }
+        })
     }
 }
 
@@ -1049,14 +1179,14 @@ fn cmp_values(a: &Value, b: &Value, op: CmpOp) -> bool {
     }
 }
 
-fn row_attr_value(rel: &Relation<'_>, row: &[Value], attr: &Attr) -> Result<Value, ExecError> {
+/// Bind a WHERE attribute to its column in the relation's rows.
+fn row_col(cols: &[String], attr: &Attr) -> Col {
     if attr.is_aggregated() {
         return Err(ExecError::Unsupported(
             "aggregate in row-level predicate (belongs to HAVING)".into(),
         ));
     }
-    let i = col_idx(&rel.cols, &attr.col)?;
-    Ok(row[i].clone())
+    col_idx(cols, &attr.col)
 }
 
 /// Binning context for numeric columns: equal-width buckets,
@@ -1133,8 +1263,8 @@ fn bin_value(v: &Value, unit: BinUnit, num: Option<&NumericBins>) -> (i64, Value
     }
 }
 
-fn agg_over(agg: AggFunc, distinct: bool, vals: &[Value]) -> Value {
-    let nonnull: Vec<&Value> = vals.iter().filter(|v| !v.is_null()).collect();
+fn agg_over<'v>(agg: AggFunc, distinct: bool, vals: impl Iterator<Item = &'v Value>) -> Value {
+    let nonnull: Vec<&Value> = vals.filter(|v| !v.is_null()).collect();
     let pool: Vec<&Value> = if distinct {
         let mut seen = HashSet::new();
         nonnull.into_iter().filter(|v| seen.insert(*v)).collect()
@@ -1186,16 +1316,6 @@ fn agg_over(agg: AggFunc, distinct: bool, vals: &[Value]) -> Value {
     }
 }
 
-/// Evaluate an attribute over the rows (by index) belonging to one group.
-fn group_attr_value(scan: &ScanData, idxs: &[usize], attr: &Attr) -> Result<Value, ExecError> {
-    if attr.agg == AggFunc::Count && attr.col.is_star() {
-        return Ok(Value::Int(idxs.len() as i64));
-    }
-    let col = col_idx(&scan.cols, &attr.col)?;
-    let vals: Vec<Value> = idxs.iter().map(|&i| scan.rows[i][col].clone()).collect();
-    Ok(agg_over(attr.agg, attr.distinct, &vals))
-}
-
 fn attr_display(a: &Attr) -> String {
     if a.agg == AggFunc::None {
         a.col.to_token()
@@ -1206,35 +1326,15 @@ fn attr_display(a: &Attr) -> String {
     }
 }
 
-fn attr_out_type(scan: &ScanData, a: &Attr) -> ColumnType {
+/// The output type of select attribute `a`, whose column resolved to `col`.
+fn attr_out_type(types: &[ColumnType], a: &Attr, col: &Col) -> ColumnType {
     match a.agg {
         AggFunc::Count | AggFunc::Sum | AggFunc::Avg => ColumnType::Quantitative,
-        AggFunc::Max | AggFunc::Min | AggFunc::None => {
-            if a.col.is_star() {
-                ColumnType::Categorical
-            } else {
-                col_idx(&scan.cols, &a.col)
-                    .map(|i| scan.types[i])
-                    .unwrap_or(ColumnType::Categorical)
-            }
-        }
+        AggFunc::Max | AggFunc::Min | AggFunc::None => match col {
+            Ok(i) if !a.col.is_star() => types[*i],
+            _ => ColumnType::Categorical,
+        },
     }
-}
-
-/// Evaluate an order/superlative attribute for one group: aggregates compute
-/// over the group's rows; bare key columns read the key.
-fn order_value(
-    scan: &ScanData,
-    entry: &GroupEntry,
-    key_cols: &[ColumnRef],
-    attr: &Attr,
-) -> Result<Value, ExecError> {
-    if attr.agg == AggFunc::None {
-        if let Some(pos) = key_cols.iter().position(|c| *c == attr.col) {
-            return Ok(entry.key[pos].clone());
-        }
-    }
-    group_attr_value(scan, &entry.rows, attr)
 }
 
 #[cfg(test)]
@@ -1666,7 +1766,6 @@ mod tests {
         }
         assert!(cache.stats.scan_hits > 0, "warm runs must hit the scan cache");
         assert!(cache.stats.group_hits > 0, "warm runs must hit the group cache");
-        assert!(cache.stats.result_hits > 0, "subquery memo must be hit");
         assert!(!cache.is_empty());
     }
 
@@ -1823,7 +1922,6 @@ mod tests {
             assert_eq!(plain, warm, "warm-cache spend diverged on {vql}");
         }
         assert!(cache.stats.scan_hits > 0, "parity must be proven on real cache hits");
-        assert!(cache.stats.result_hits > 0, "subquery memo must be exercised");
     }
 
     /// A fuel limit that trips cold must trip warm too, and exactly-enough
@@ -1855,5 +1953,55 @@ mod tests {
         let (_, warm) =
             execute_with(&db, &q, ExecOptions { cache: Some(&mut cache), budget: enough }).unwrap();
         assert_eq!(warm, spend);
+    }
+    /// A subquery runs once per execution, so an uncached `in ( select … )`
+    /// over 5 flights and 3 airports (every flight's `src` is an airport)
+    /// scans 5 + 3 rows, not 5 + 5 × 3; a cold and a warm cache count the
+    /// same.
+    #[test]
+    fn subquery_scans_count_once_per_execution() {
+        let db = db();
+        let q = parse_vql_str(
+            "select flight.fno from flight where flight.src in ( select airport.id from airport )",
+        )
+        .unwrap();
+        let scan_rows = |cache: Option<&mut ExecCache>| {
+            let mut e = Exec { cache, meter: Meter::new(ExecBudget::default()) };
+            e.set(&db, &q.query).unwrap();
+            e.meter.scan_rows
+        };
+        assert_eq!(scan_rows(None), 5 + 3);
+        let mut cache = ExecCache::new();
+        assert_eq!(scan_rows(Some(&mut cache)), 5 + 3, "cold cache");
+        assert_eq!(scan_rows(Some(&mut cache)), 5 + 3, "warm cache");
+    }
+
+    /// A budget that runs out while the second row replays its filled
+    /// subquery slot fails with the same error uncached, cold and warm.
+    #[test]
+    fn fuel_trips_in_a_later_rows_subquery_replay() {
+        let db = db();
+        let q = parse_vql_str(
+            "select flight.fno from flight where flight.price > \
+             ( select avg ( flight.price ) from flight )",
+        )
+        .unwrap();
+        let sub = parse_vql_str("select avg ( flight.price ) from flight").unwrap();
+        let sub_fuel =
+            execute_with(&db, &sub, budgeted(ExecBudget::unlimited())).unwrap().1.fuel_used;
+        // The 5-row outer scan and the first row's subquery run fit; the
+        // second row's replay does not.
+        let fuel = 5 + sub_fuel + sub_fuel / 2;
+        let budget = ExecBudget { fuel, ..ExecBudget::default() };
+        let want =
+            Err(ExecError::ResourceExhausted(format!("fuel limit of {fuel} steps exceeded")));
+        let outcome = |opts| execute_with(&db, &q, opts).map(|_| ());
+
+        assert_eq!(outcome(budgeted(budget)), want, "uncached");
+        let mut cache = ExecCache::new();
+        assert_eq!(outcome(ExecOptions { cache: Some(&mut cache), budget }), want, "cold");
+        let mut cache = ExecCache::new();
+        execute_with(&db, &q, cached(&mut cache)).unwrap();
+        assert_eq!(outcome(ExecOptions { cache: Some(&mut cache), budget }), want, "warm");
     }
 }

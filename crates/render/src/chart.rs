@@ -96,7 +96,7 @@ pub fn chart_data_with(
 ) -> Result<ChartData, RenderError> {
     let chart = q.chart.ok_or(RenderError::NotAVisQuery)?;
     let (rs, _) = execute_with(db, q, opts)?;
-    chart_data_from_result(chart, &rs)
+    chart_data_from_result(chart, rs)
 }
 
 /// [`chart_data_with`] through `cache` under `budget`. Kept only because
@@ -110,9 +110,11 @@ pub fn chart_data_cached_budgeted(
     chart_data_with(db, q, ExecOptions { cache: Some(cache), budget })
 }
 
-/// Channel-map an already-executed result set.
-fn chart_data_from_result(chart: ChartType, rs: &ResultSet) -> Result<ChartData, RenderError> {
-    let need = if chart.is_grouped() { 3 } else { 2 };
+/// Channel-map an already-executed result set, moving its cells and column
+/// names into the chart.
+fn chart_data_from_result(chart: ChartType, rs: ResultSet) -> Result<ChartData, RenderError> {
+    let grouped = chart.is_grouped();
+    let need = if grouped { 3 } else { 2 };
     if rs.columns.len() != need {
         return Err(RenderError::Shape(format!(
             "{} chart needs {need} result columns, got {}",
@@ -120,27 +122,33 @@ fn chart_data_from_result(chart: ChartType, rs: &ResultSet) -> Result<ChartData,
             rs.columns.len()
         )));
     }
-    let (xi, yi, si) = (0usize, 1usize, if chart.is_grouped() { Some(2usize) } else { None });
-
     let rows: Vec<ChartRow> = rs
         .rows
-        .iter()
-        .map(|r| ChartRow {
-            x: r[xi].clone(),
-            y: r[yi].clone(),
-            series: si.map(|i| r[i].clone()),
+        .into_iter()
+        .map(|r| {
+            let (x, y, series) = channels(r, grouped);
+            ChartRow { x, y, series }
         })
         .collect();
+    let (x_name, y_name, series_name) = channels(rs.columns, grouped);
 
     Ok(ChartData {
         chart,
-        x_name: rs.columns[xi].clone(),
-        y_name: rs.columns[yi].clone(),
-        series_name: si.map(|i| rs.columns[i].clone()),
-        x_type: rs.types[xi],
-        y_type: rs.types[yi],
+        x_name,
+        y_name,
+        series_name,
+        x_type: rs.types[0],
+        y_type: rs.types[1],
         rows,
     })
+}
+
+/// Split a result row, or the column names, into channels in column order:
+/// x, y, then the series of grouped charts.
+fn channels<T>(cells: Vec<T>, grouped: bool) -> (T, T, Option<T>) {
+    let mut cells = cells.into_iter();
+    let mut next = || cells.next().expect("every result row has one cell per column");
+    (next(), next(), grouped.then(next))
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 #   scripts/ci.sh doc              # warnings-clean rustdoc (broken or
 #                                  # private intra-doc links fail)
 #   scripts/ci.sh differential     # 5,000-case differential-oracle batch
+#                                  # at two fixed seeds
 #   scripts/ci.sh golden           # verify golden corpus snapshots
 #   scripts/ci.sh golden --bless   # regenerate snapshots, then re-verify
 #   scripts/ci.sh trace            # traced synthesis + report schema gate
@@ -33,7 +34,9 @@
 # one entry point, `execute_with`, three ways (no cache, cache-cold,
 # cache-warm) against the reference interpreter and fails on the first
 # divergence; a failure prints a shrunk counterexample with a
-# `gen_case(seed, case)` repro line.
+# `gen_case(seed, case)` repro line. It sweeps two fixed seeds, the test's
+# default (0x5EED) and 0xCAFE, so the bound predicates and the
+# once-per-execution subquery slots meet twice as many query shapes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,8 +60,10 @@ run_doc() {
 }
 
 run_differential() {
-  echo "=== differential oracle (5,000 seeded cases × 3 engines) ==="
-  DIFF_CASES=5000 cargo test --release -q --test differential_oracle
+  for seed in 24301 51966; do
+    echo "=== differential oracle (5,000 seeded cases × 3 engines, DIFF_SEED=$seed) ==="
+    DIFF_SEED=$seed DIFF_CASES=5000 cargo test --release -q --test differential_oracle
+  done
 }
 
 run_golden() {

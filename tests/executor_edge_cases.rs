@@ -178,7 +178,10 @@ fn numeric_bin_top_edge_is_inclusive() {
 /// aggregates as the attribute values. Every predicate form must filter
 /// groups identically with no cache, a cold cache and a warm cache, and agree
 /// with the reference interpreter. Groups by `t.cat`: `a` (q 10, null),
-/// `NULL` (q 30) and `b` (q 40, 50).
+/// `NULL` (q 30) and `b` (q 40, 50). The last cases bind subquery slots in
+/// WHERE and HAVING: two distinct subqueries in one predicate, and a
+/// subquery nested inside a subquery; each slot's replayed spend must match
+/// re-running it for every row or group.
 #[test]
 fn having_supports_every_predicate_form() {
     use nvbench::data::{execute_with, ExecCache, ExecOptions};
@@ -224,6 +227,22 @@ fn having_supports_every_predicate_form() {
              where ( count ( t.* ) = 1 or sum ( t.q ) > 50 ) group by t.cat",
             vec![vec![null.clone(), int(30)], vec![b.clone(), int(90)]],
         ),
+        (
+            "select t.cat , t.q from t where ( t.q > ( select min ( t.q ) from t ) \
+             and t.q < ( select max ( t.q ) from t ) )",
+            vec![vec![null.clone(), int(30)], vec![b.clone(), int(40)]],
+        ),
+        (
+            // avg(q) = 32.5, so the inner subquery keeps q 40 and 50.
+            "select t.cat from t where t.q in \
+             ( select t.q from t where t.q > ( select avg ( t.q ) from t ) )",
+            vec![vec![b.clone()], vec![b.clone()]],
+        ),
+        (
+            "select t.cat , sum ( t.q ) from t where sum ( t.q ) between \
+             ( select min ( t.q ) from t ) and ( select max ( t.q ) from t ) group by t.cat",
+            vec![vec![a.clone(), int(10)], vec![null.clone(), int(30)]],
+        ),
     ];
     let sorted = |rows: &[Vec<Value>]| {
         let mut r: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
@@ -246,8 +265,57 @@ fn having_supports_every_predicate_form() {
             assert!(rs.multiset_eq(&oracle), "{how} disagrees with the oracle: {vql}\n{rs:?}");
             assert_eq!(spend, plain.1, "{how} budget spend: {vql}");
         }
-        if vql.contains("( select") {
-            assert!(cache.stats.result_hits > 0, "subquery result was not memoized: {vql}");
+    }
+}
+
+/// A column that does not resolve fails where it is first read: a WHERE or
+/// HAVING leaf on its first row or group, a plain projection or ORDER BY
+/// before any row, an aggregate on its first group. Over an empty table
+/// the rows and groups that would read it never exist (a global aggregate
+/// still has its one group). No cache, a cold cache and a warm cache agree.
+#[test]
+fn unresolvable_columns_fail_where_first_read() {
+    use nvbench::data::{execute_with, ExecCache, ExecOptions};
+    let mut db = db();
+    db.add_table(table_from(
+        "t0",
+        &[
+            ("cat", ColumnType::Categorical),
+            ("q", ColumnType::Quantitative),
+            ("when_at", ColumnType::Temporal),
+        ],
+        vec![],
+    ));
+    // (query over table T, rows over `t`, rows over the empty `t0`), where
+    // `None` is the unknown-column error.
+    let cases = [
+        ("select T.cat from T where T.ghost > 1", None, Some(0)),
+        // The AND short-circuits before the unresolvable leaf on every row.
+        ("select T.cat from T where ( T.q > 100 and T.ghost > 1 )", Some(0), Some(0)),
+        ("select T.ghost from T", None, None),
+        ("select T.cat from T order by T.ghost asc", None, None),
+        ("select T.cat , max ( T.ghost ) from T group by T.cat", None, Some(0)),
+        (
+            "select T.cat , count ( T.* ) from T where max ( T.ghost ) > 1 group by T.cat",
+            None,
+            Some(0),
+        ),
+        ("select count ( T.* ) from T where max ( T.ghost ) > 1", None, None),
+    ];
+    for (template, full, empty) in cases {
+        for (table, rows) in [("t", full), ("t0", empty)] {
+            let vql = template.replace('T', table);
+            let q = parse_vql_str(&vql).unwrap_or_else(|e| panic!("{vql}: {e}"));
+            let want = rows.ok_or(format!("unknown column '{table}.ghost'"));
+            let outcome = |opts: ExecOptions<'_>| {
+                execute_with(&db, &q, opts).map(|(rs, _)| rs.rows.len()).map_err(|e| e.to_string())
+            };
+            assert_eq!(outcome(ExecOptions::default()), want, "uncached: {vql}");
+            let mut cache = ExecCache::new();
+            for how in ["cold", "warm"] {
+                let opts = ExecOptions { cache: Some(&mut cache), ..Default::default() };
+                assert_eq!(outcome(opts), want, "{how} cache: {vql}");
+            }
         }
     }
 }

@@ -110,7 +110,7 @@ fn counters_are_deterministic_across_thread_counts() {
         };
         assert_eq!(pick(baseline), pick(r), "counters diverged at threads={threads}");
 
-        for layer in ["scan", "group", "result"] {
+        for layer in ["scan", "group"] {
             let total = |rep: &trace::TraceReport| {
                 rep.counter(&format!("data.cache.{layer}.hits"))
                     + rep.counter(&format!("data.cache.{layer}.misses"))
@@ -139,6 +139,78 @@ fn counters_are_deterministic_across_thread_counts() {
 
     assert!(baseline.counter("data.exec.fuel_used") > 0);
     assert!(baseline.counter("data.exec.scan_rows") > 0);
+}
+
+/// `data.exec.scan_rows` counts each body's scan output once per
+/// execution, a subquery's scans once per execution, and on a cache hit
+/// what the hit's cold build counted. A batch of nested queries therefore
+/// counts the same rows uncached, through cold caches and through warm
+/// ones, whether one worker runs it or four workers with a cache each
+/// split it.
+#[test]
+fn scan_rows_do_not_depend_on_cache_state_or_threads() {
+    use nvbench::ast::tokens::parse_vql_str;
+    use nvbench::data::{
+        execute_with, table_from, ColumnType, Database, ExecCache, ExecOptions, Value,
+    };
+    let _g = serial();
+    let mut db = Database::new("nested", "Test");
+    db.add_table(table_from(
+        "t",
+        &[("k", ColumnType::Quantitative), ("v", ColumnType::Quantitative)],
+        (0..12).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect(),
+    ));
+    db.add_table(table_from(
+        "u",
+        &[("k", ColumnType::Quantitative)],
+        (0..3).map(|i| vec![Value::Int(i)]).collect(),
+    ));
+    let queries: Vec<_> = [
+        "select t.v from t where t.k in ( select u.k from u )",
+        "select t.k , count ( t.* ) from t where t.k in ( select u.k from u ) group by t.k",
+        "select t.v from t where t.v > \
+         ( select avg ( t.v ) from t where t.k in ( select u.k from u ) )",
+        "select t.k , sum ( t.v ) from t where sum ( t.v ) > \
+         ( select avg ( t.v ) from t ) group by t.k",
+    ]
+    .iter()
+    .map(|vql| parse_vql_str(vql).unwrap())
+    .collect();
+    // Run the batch `passes` times on `threads` workers, query i on worker
+    // i % threads, and read the scan-row counter.
+    let scan_rows = |threads: usize, cached: bool, passes: usize| -> u64 {
+        trace::reset();
+        trace::enable();
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                let (db, queries) = (&db, &queries);
+                s.spawn(move || {
+                    let _flush = trace::flush_on_exit();
+                    let mut cache = ExecCache::new();
+                    for _ in 0..passes {
+                        for q in queries.iter().skip(w).step_by(threads) {
+                            let opts = ExecOptions {
+                                cache: cached.then_some(&mut cache),
+                                ..Default::default()
+                            };
+                            execute_with(db, q, opts).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        trace::disable();
+        let n = trace::report().counter("data.exec.scan_rows");
+        trace::reset();
+        n
+    };
+    let once = scan_rows(1, false, 1);
+    assert!(once > 0);
+    for threads in [1, 4] {
+        assert_eq!(scan_rows(threads, false, 1), once, "uncached, threads={threads}");
+        assert_eq!(scan_rows(threads, true, 1), once, "cold caches, threads={threads}");
+        assert_eq!(scan_rows(threads, true, 2), 2 * once, "cold then warm, threads={threads}");
+    }
 }
 
 #[test]
