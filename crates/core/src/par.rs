@@ -5,10 +5,11 @@
 //! input order**, so callers observe exactly what a sequential
 //! `iter().map()` would have produced no matter how the OS schedules the
 //! workers. Each worker owns a private state value (built by `init`) that
-//! lives for the whole run — the synthesizer uses it to hold per-database
-//! execution caches. [`map_ordered`] is the same pool for work that is not
-//! expected to panic: it unwraps the outcomes and re-raises the first
-//! failed item's panic on the caller's thread.
+//! lives for the whole run — the synthesizer uses it to hold its worker's
+//! execution cache. [`map_ordered`] is the same pool for stateless work that
+//! is not expected to panic: it unwraps the outcomes and re-raises the
+//! first failed item's panic on the caller's thread. Neither passes the
+//! item's index to the work: output order is the pool's business.
 //!
 //! Design notes:
 //! * one worker loop (the private `drain`) serves both the inline
@@ -72,24 +73,20 @@ pub fn available_threads() -> usize {
 }
 
 /// Apply `work` to every item of `items` using up to `threads` workers,
-/// returning results in input order.
+/// returning results in input order. With `threads <= 1` (or one item)
+/// everything runs inline on the caller's thread.
 ///
-/// `init` runs once per worker to build its private mutable state; `work`
-/// receives that state plus the item's index. With `threads <= 1` (or one
-/// item) everything runs inline on the caller's thread.
-///
-/// This is [`map_ordered_isolated`] with the outcomes unwrapped. If an item
-/// panics, its worker rebuilds its state and the remaining items **still
+/// This is [`map_ordered_isolated`] without worker state and with the
+/// outcomes unwrapped. If an item panics, the remaining items **still
 /// run**; once the pool is done, the first failed item's panic is re-raised
 /// on the caller's thread, naming the item's index and its message.
-pub fn map_ordered<T, R, S, I, F>(items: &[T], threads: usize, init: I, work: F) -> Vec<R>
+pub fn map_ordered<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    map_ordered_isolated(items, threads, init, work)
+    map_ordered_isolated(items, threads, || (), |_, item| work(item))
         .into_iter()
         .enumerate()
         .map(|(i, out)| {
@@ -174,14 +171,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// caught and the item reports `Err(message)` instead of killing the run.
 fn run_isolated<T, R, S>(
     state: &mut S,
-    i: usize,
     item: &T,
-    work: &(impl Fn(&mut S, usize, &T) -> R + Sync),
+    work: &(impl Fn(&mut S, &T) -> R + Sync),
 ) -> Isolated<R> {
     let start = Instant::now();
     // Restore rather than clear: the item may itself run a nested pool.
     let outer = CAPTURING.with(|c| c.replace(true));
-    let outcome = catch_unwind(AssertUnwindSafe(|| work(state, i, item)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| work(state, item)));
     CAPTURING.with(|c| c.set(outer));
     Isolated {
         result: outcome.map_err(panic_message),
@@ -199,7 +195,7 @@ fn drain<T, R, S>(
     next: &AtomicUsize,
     worker: usize,
     init: &(impl Fn() -> S + Sync),
-    work: &(impl Fn(&mut S, usize, &T) -> R + Sync),
+    work: &(impl Fn(&mut S, &T) -> R + Sync),
     mut emit: impl FnMut(usize, Isolated<R>),
 ) {
     let Ok(mut state) = catch_unwind(AssertUnwindSafe(init)) else {
@@ -211,7 +207,7 @@ fn drain<T, R, S>(
             return;
         }
         trace_queue_depth(items.len(), i);
-        let out = run_isolated(&mut state, i, &items[i], work);
+        let out = run_isolated(&mut state, &items[i], work);
         trace_task(worker, out.elapsed_us);
         let poisoned = out.result.is_err();
         emit(i, out);
@@ -234,6 +230,9 @@ fn drain<T, R, S>(
 /// panic isolation: a panicking item becomes `Err(panic message)` in its
 /// slot instead of tearing the run down, and every other item still
 /// produces its normal result.
+///
+/// `init` runs once per worker to build its private mutable state, which
+/// `work` receives with each item.
 ///
 /// Fault containment, in order of severity:
 /// * a panic inside `work` is caught per item (`catch_unwind`); the worker
@@ -262,7 +261,7 @@ where
     T: Sync,
     R: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
 {
     install_capturing_hook();
     let threads = threads.max(1).min(items.len().max(1));
@@ -319,22 +318,22 @@ mod tests {
 
     #[test]
     fn preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = map_ordered(&items, 4, || (), |_, i, x| (i, x * 3));
-        for (i, (idx, v)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*v, items[i] * 3);
+        // Distinct, unsorted items: slot i must hold item i's result.
+        let items: Vec<u64> = (0..100).map(|i| (i * 37) % 101).collect();
+        let out = map_ordered(&items, 4, |x| (*x, x * 3));
+        for (item, (seen, v)) in items.iter().zip(&out) {
+            assert_eq!(seen, item);
+            assert_eq!(*v, item * 3);
         }
     }
 
     #[test]
     fn matches_sequential_for_any_thread_count() {
-        let items: Vec<u64> = (0..57).collect();
-        let seq = map_ordered(&items, 1, || (), |_, i, x| x.wrapping_mul(i as u64 + 7));
+        let items: Vec<u64> = (0..57).map(|i| i * 0x9e37_79b9).collect();
+        let seq = map_ordered(&items, 1, |x| x.wrapping_mul(x + 7));
+        assert_eq!(seq, items.iter().map(|x| x.wrapping_mul(x + 7)).collect::<Vec<_>>());
         for threads in [2, 3, 4, 8, 64] {
-            let par = map_ordered(&items, threads, || (), |_, i, x| {
-                x.wrapping_mul(i as u64 + 7)
-            });
+            let par = map_ordered(&items, threads, |x| x.wrapping_mul(x + 7));
             assert_eq!(seq, par, "threads={threads}");
         }
     }
@@ -345,18 +344,19 @@ mod tests {
         // and every worker that ran processed at least one item.
         let items: Vec<u32> = (0..40).collect();
         let inits = AtomicUsize::new(0);
-        let out = map_ordered(
+        let out = map_ordered_isolated(
             &items,
             4,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
             },
-            |seen, _, _| {
+            |seen, _| {
                 *seen += 1;
                 *seen
             },
         );
+        let out: Vec<usize> = out.into_iter().map(|o| o.result.unwrap()).collect();
         assert!(out.iter().all(|&c| c >= 1 && c <= items.len()));
         let workers = inits.load(Ordering::Relaxed);
         assert!((1..=4).contains(&workers), "{workers} workers");
@@ -365,16 +365,16 @@ mod tests {
     #[test]
     fn empty_and_oversized() {
         let none: Vec<u8> = vec![];
-        assert!(map_ordered(&none, 8, || (), |_, _, x| *x).is_empty());
+        assert!(map_ordered(&none, 8, |x| *x).is_empty());
         let one = [5u8];
-        assert_eq!(map_ordered(&one, 8, || (), |_, _, x| *x), vec![5]);
+        assert_eq!(map_ordered(&one, 8, |x| *x), vec![5]);
     }
 
     #[test]
     fn borrows_captured_environment() {
         let base = [10u64, 20, 30];
         let items = [0usize, 1, 2, 1];
-        let out = map_ordered(&items, 2, || (), |_, _, &i| base[i]);
+        let out = map_ordered(&items, 2, |&i| base[i]);
         assert_eq!(out, vec![10, 20, 30, 20]);
     }
 
@@ -386,7 +386,7 @@ mod tests {
         for threads in [1, 4] {
             let ran = AtomicUsize::new(0);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                map_ordered(&items, threads, || (), |_, _, &x| {
+                map_ordered(&items, threads, |&x| {
                     ran.fetch_add(1, Ordering::Relaxed);
                     if x == 3 || x == 10 {
                         panic!("boom at {x}");
@@ -404,7 +404,7 @@ mod tests {
     fn isolated_captures_panics_without_losing_other_items() {
         let items: Vec<u32> = (0..50).collect();
         for threads in [1, 4] {
-            let out = map_ordered_isolated(&items, threads, || (), |_, _, &x| {
+            let out = map_ordered_isolated(&items, threads, || (), |_, &x| {
                 if x % 7 == 3 {
                     panic!("boom at {x}");
                 }
@@ -437,7 +437,7 @@ mod tests {
                 &items,
                 threads,
                 || 0usize,
-                |since_init, _, &x| {
+                |since_init, &x| {
                     *since_init += 1;
                     if x == 10 || x == 20 {
                         panic!("die");
@@ -459,11 +459,9 @@ mod tests {
 
     #[test]
     fn isolated_matches_plain_map_when_nothing_panics() {
-        let items: Vec<u64> = (0..40).collect();
-        let plain = map_ordered(&items, 3, || (), |_, i, x| x.wrapping_mul(i as u64 + 1));
-        let iso = map_ordered_isolated(&items, 3, || (), |_, i, x| {
-            x.wrapping_mul(i as u64 + 1)
-        });
+        let items: Vec<u64> = (0..40).map(|i| i * 0x9e37_79b9).collect();
+        let plain = map_ordered(&items, 3, |x| x.wrapping_mul(x + 1));
+        let iso = map_ordered_isolated(&items, 3, || (), |_, x| x.wrapping_mul(x + 1));
         let unwrapped: Vec<u64> = iso.into_iter().map(|o| o.result.unwrap()).collect();
         assert_eq!(plain, unwrapped);
     }
@@ -474,12 +472,8 @@ mod tests {
         // slot reports an error instead.
         let items: Vec<u8> = vec![1, 2, 3];
         for threads in [1, 2] {
-            let out = map_ordered_isolated(
-                &items,
-                threads,
-                || -> () { panic!("init dies") },
-                |_, _, &x| x,
-            );
+            let out =
+                map_ordered_isolated(&items, threads, || -> () { panic!("init dies") }, |_, &x| x);
             assert_eq!(out.len(), 3);
             assert!(out.iter().all(|o| o.result.is_err()), "threads={threads}");
         }
@@ -500,7 +494,7 @@ mod tests {
     #[test]
     fn isolated_records_elapsed_time() {
         let items = [1u8, 2];
-        let out = map_ordered_isolated(&items, 1, || (), |_, _, &x| {
+        let out = map_ordered_isolated(&items, 1, || (), |_, &x| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             x
         });

@@ -20,14 +20,15 @@ use nv_synth::{filter_candidates, generate_candidates, FilterStats, GoodVis, NlS
 use serde::Serialize;
 use std::collections::HashSet;
 
+/// Keep at most this many good vis per input (NL, SQL) pair, picked by
+/// filter score (the paper nets ~0.7 vis per Spider pair after filtering;
+/// the cap keeps candidate-rich pairs from dominating).
+const MAX_VIS_PER_PAIR: usize = 3;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct SynthesizerConfig {
     pub seed: u64,
-    /// Keep at most this many good vis per input (NL, SQL) pair, picked by
-    /// filter score (the paper nets ~0.7 vis per Spider pair after
-    /// filtering; the cap keeps candidate-rich pairs from dominating).
-    pub max_vis_per_pair: usize,
     /// Worker threads for corpus synthesis (1 = run on the caller's
     /// thread). Output is bit-identical for any value: pairs are merged in
     /// input order and all randomness is seeded per pair.
@@ -42,7 +43,6 @@ impl Default for SynthesizerConfig {
     fn default() -> Self {
         SynthesizerConfig {
             seed: 42,
-            max_vis_per_pair: 3,
             threads: 1,
             budget: ExecBudget::default(),
         }
@@ -264,7 +264,7 @@ impl Nl2SqlToNl2Vis {
         let mut seen_types: std::collections::HashSet<_> = Default::default();
         let mut leftovers: Vec<GoodVis> = Vec::new();
         for (_, g) in scored {
-            if kept.len() >= self.cfg.max_vis_per_pair {
+            if kept.len() >= MAX_VIS_PER_PAIR {
                 break;
             }
             if seen_types.insert(g.chart) {
@@ -274,7 +274,7 @@ impl Nl2SqlToNl2Vis {
             }
         }
         for g in leftovers {
-            if kept.len() >= self.cfg.max_vis_per_pair {
+            if kept.len() >= MAX_VIS_PER_PAIR {
                 break;
             }
             kept.push(g);
@@ -310,14 +310,13 @@ impl Nl2SqlToNl2Vis {
     /// [`synthesize_corpus_sequential`](Self::synthesize_corpus_sequential)
     /// for any thread count.
     ///
-    /// Each worker holds one [`ExecCache`], for the database of the pair it
-    /// is on, and starts a fresh one when the next pair names another
-    /// database, so it holds one database's memo at a time. The reset
-    /// loses no hits when the corpus lists each database's pairs
-    /// contiguously, as every corpus this workspace builds does: workers
-    /// claim pairs in increasing index order, so none returns to a
-    /// database it has left. An interleaved corpus gives the same output
-    /// with fewer hits.
+    /// Each worker holds one [`ExecCache`], which starts a fresh memo
+    /// whenever the worker's next pair is on another database, so it holds
+    /// one database's entries at a time. That loses no hits when the corpus
+    /// lists each database's pairs contiguously, as every corpus this
+    /// workspace builds does: workers claim pairs in increasing index
+    /// order, so none returns to a database it has left. An interleaved
+    /// corpus gives the same output with fewer hits.
     ///
     /// Fault isolation: each pair runs under `catch_unwind`; a panicking
     /// pair is quarantined (stage [`SynthStage::Isolation`]) and its
@@ -327,17 +326,11 @@ impl Nl2SqlToNl2Vis {
         let results = par::map_ordered_isolated(
             &corpus.pairs,
             self.cfg.threads,
-            <(String, ExecCache)>::default,
-            |(cache_db, cache), _i, pair| {
+            ExecCache::new,
+            |cache, pair| {
                 let db = corpus
                     .database(&pair.db_name)
                     .ok_or_else(|| PipelineError::UnknownDatabase(pair.db_name.clone()))?;
-                // Keyed on the resolved name: lookup ignores case, `bind`
-                // does not.
-                if *cache_db != db.name {
-                    *cache_db = db.name.clone();
-                    *cache = ExecCache::new();
-                }
                 self.synthesize_pair_cached(db, &pair.nl, &pair.sql, pair.id as u64, cache)
             },
         );
@@ -353,7 +346,7 @@ impl Nl2SqlToNl2Vis {
             &corpus.pairs,
             1,
             || (),
-            |_, _i, pair| {
+            |_, pair| {
                 let db = corpus
                     .database(&pair.db_name)
                     .ok_or_else(|| PipelineError::UnknownDatabase(pair.db_name.clone()))?;
@@ -457,25 +450,7 @@ impl Nl2SqlToNl2Vis {
 /// Two runs in which a pair saw identical inputs and took identical
 /// decisions produce the same digest — regardless of what *other* pairs did.
 fn pair_digest(ps: &PairSynthesis) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, b: &[u8]) {
-            for &x in b {
-                self.0 ^= x as u64;
-                self.0 = self.0.wrapping_mul(PRIME);
-            }
-        }
-        fn u64(&mut self, v: u64) {
-            self.bytes(&v.to_le_bytes());
-        }
-        fn str(&mut self, s: &str) {
-            self.u64(s.len() as u64);
-            self.bytes(s.as_bytes());
-        }
-    }
-    let mut h = Fnv(BASIS);
+    let mut h = nv_fault::Fnv::default();
     h.u64(ps.outputs.len() as u64);
     for (good, variants, manual) in &ps.outputs {
         h.str(&good.candidate.tree.to_vql());
@@ -494,7 +469,7 @@ fn pair_digest(ps: &PairSynthesis) -> u64 {
     ] {
         h.u64(n as u64);
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]
@@ -546,8 +521,8 @@ mod tests {
 
     #[test]
     fn per_pair_cap_respected() {
-        let cfg = SynthesizerConfig { max_vis_per_pair: 2, ..Default::default() };
-        let s = Nl2SqlToNl2Vis::new(cfg);
+        // A pair with more good charts than the cap keeps exactly the cap.
+        let s = Nl2SqlToNl2Vis::new(SynthesizerConfig::default());
         let result = s
             .synthesize_pair(
                 &db(),
@@ -556,7 +531,8 @@ mod tests {
                 1,
             )
             .unwrap();
-        assert!(result.outputs.len() <= 2);
+        assert!(result.filter_stats.kept > MAX_VIS_PER_PAIR, "{:?}", result.filter_stats);
+        assert_eq!(result.outputs.len(), MAX_VIS_PER_PAIR);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Synthesis executes dozens of candidate VIS queries per (NL, SQL) pair,
 //! and the candidates overwhelmingly share their FROM/JOIN/WHERE fragment
 //! (they vary the projection, grouping, and binning on top of one scan).
-//! [`ExecCache`] exploits that: it memoizes, per database,
+//! [`ExecCache`] exploits that: it memoizes, for one database at a time,
 //!
 //! 1. **scans** — the joined + WHERE-filtered row set, keyed by the
 //!    canonical form of `(FROM, JOINs, WHERE)`, which also covers every
@@ -39,8 +39,10 @@
 //!
 //! Cached data is shared via `Arc` and never mutated, so [`execute_with`]
 //! through a cache ([`ExecOptions::cache`]) is bit-identical to [`execute`]
-//! — the cache is a pure performance layer. A cache is bound to the first
-//! database it sees; using it with another returns [`ExecError::Internal`].
+//! — the cache is a pure performance layer. A cache serves the database it
+//! last executed against: handed another, it drops its memo and starts
+//! afresh, so it never serves one database's scans for another's and holds
+//! one database's entries at a time.
 //!
 //! Both layers share one memo protocol (the private `Exec::memo`): a hit
 //! replays the fuel, peak rows and scanned rows its cold build charged, so
@@ -303,13 +305,15 @@ impl CacheStats {
     }
 }
 
-/// Per-database memo of scans and groupings (see the module docs). Purely
-/// additive: results through a cache are identical to uncached execution,
-/// and each entry remembers the budget spend of its cold construction so
-/// hits charge the meter identically.
+/// Memo of one database's scans and groupings (see the module docs).
+/// Purely additive: results through a cache are identical to uncached
+/// execution, and each entry remembers the budget spend of its cold
+/// construction so hits charge the meter identically. Executing against
+/// another database starts a fresh memo; [`stats`](ExecCache::stats) keeps
+/// counting across the switch.
 #[derive(Debug, Default)]
 pub struct ExecCache {
-    /// Name of the database this cache is bound to (set on first use).
+    /// Name of the database the memo holds entries for.
     db_name: Option<String>,
     scans: HashMap<String, Cached<ScanData>>,
     groups: HashMap<String, Cached<Vec<GroupEntry>>>,
@@ -338,17 +342,14 @@ impl ExecCache {
         self.len() == 0
     }
 
-    /// Bind the cache to `db` on first use; refuse any other database after
-    /// that, since its memoized scans would be served as the wrong data.
-    fn bind(&mut self, db: &Database) -> Result<(), ExecError> {
-        let bound = self.db_name.get_or_insert_with(|| db.name.clone());
-        if *bound != db.name {
-            return Err(ExecError::Internal(format!(
-                "ExecCache is bound to database '{bound}' but was used with '{}'",
-                db.name
-            )));
+    /// Point the memo at `db`, dropping every entry when it held another
+    /// database's, since those would be served as the wrong data.
+    fn bind(&mut self, db: &Database) {
+        if self.db_name.as_deref() != Some(db.name.as_str()) {
+            self.db_name = Some(db.name.clone());
+            self.scans.clear();
+            self.groups.clear();
         }
-        Ok(())
     }
 }
 
@@ -386,7 +387,7 @@ pub struct ExecSpend {
     pub peak_rows: usize,
 }
 
-/// How to run one [`execute_with`] call: through an optional per-database
+/// How to run one [`execute_with`] call: through an optional
 /// [`ExecCache`], under a resource budget. The default is no cache and
 /// [`ExecBudget::default`].
 #[derive(Debug, Default)]
@@ -409,7 +410,7 @@ pub fn execute_with(
     let ExecOptions { mut cache, budget } = opts;
     let stats_before = match cache.as_deref_mut() {
         Some(c) => {
-            c.bind(db)?;
+            c.bind(db);
             Some(c.stats)
         }
         None => None,
@@ -1795,25 +1796,47 @@ mod tests {
         assert_eq!(cache.stats.group_hits, 1);
     }
 
+    /// One cache driven A → B → A: each execution equals uncached
+    /// `execute`, and after every switch the memo holds only the current
+    /// database's entries. B reuses A's table name with other rows, so a
+    /// scan served across the switch would show in the results.
     #[test]
-    fn cache_refuses_foreign_database() {
+    fn cache_follows_database_switches() {
         let a = db();
         let mut b = Database::new("other", "Other");
         b.add_table(table_from(
-            "t",
-            &[("x", ColumnType::Quantitative)],
-            vec![vec![Value::Int(1)]],
+            "flight",
+            &[("fno", ColumnType::Quantitative), ("price", ColumnType::Quantitative)],
+            vec![
+                vec![Value::Int(7), Value::Float(90.0)],
+                vec![Value::Int(8), Value::Float(310.0)],
+            ],
         ));
-        let q = parse_vql_str("select flight.fno from flight").unwrap();
+        let queries: Vec<VisQuery> = [
+            "select flight.fno from flight",
+            "select flight.fno from flight where flight.price > 200",
+            "select flight.price , count ( flight.* ) from flight group by flight.price",
+        ]
+        .iter()
+        .map(|v| parse_vql_str(v).unwrap())
+        .collect();
+        // The entries one run of the queries leaves in an empty cache.
+        let entries = |d: &Database| {
+            let mut fresh = ExecCache::new();
+            for q in &queries {
+                execute_with(d, q, cached(&mut fresh)).unwrap();
+            }
+            fresh.len()
+        };
         let mut cache = ExecCache::new();
-        execute_with(&a, &q, cached(&mut cache)).unwrap();
-        let q2 = parse_vql_str("select t.x from t").unwrap();
-        match execute_with(&b, &q2, cached(&mut cache)) {
-            Err(ExecError::Internal(m)) => assert!(m.contains("bound to database"), "{m}"),
-            other => panic!("expected Internal error, got {other:?}"),
+        for d in [&a, &b, &a] {
+            for q in &queries {
+                let (got, _) = execute_with(d, q, cached(&mut cache)).unwrap();
+                assert_eq!(got, execute(d, q).unwrap(), "{} on {}", q.to_vql(), d.name);
+            }
+            assert_eq!(cache.len(), entries(d), "after switching to {}", d.name);
         }
-        // The refusal leaves the cache bound to, and usable with, its database.
-        assert!(execute_with(&a, &q, cached(&mut cache)).is_ok());
+        assert_ne!(entries(&a), 0);
     }
 
     // ---- resource budgets ------------------------------------------------

@@ -12,6 +12,6 @@ pub mod raters;
 pub mod study;
 pub mod timing;
 
-pub use raters::{all_latent_qualities, latent_quality, majority_vote, Likert, Rater};
+pub use raters::{latent_quality, majority_vote, Likert, Rater};
 pub use study::{inter_rater, run_study, InterRater, LikertDist, StudyResult};
 pub use timing::{simulate_t3, writing_time, TimingReport};

@@ -10,7 +10,7 @@
 //! experts are low-noise, crowd workers noisier. Percentages in the
 //! regenerated Figure 13 are emergent, not hard-coded.
 
-use nv_core::{NlVisPair, NvBench, VisObject};
+use nv_core::{NlVisPair, VisObject};
 use nv_ast::Hardness;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -195,15 +195,6 @@ pub fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-12);
     let u2: f64 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Convenience: latent qualities for every pair of a benchmark.
-pub fn all_latent_qualities(bench: &NvBench) -> Vec<(f64, f64)> {
-    bench
-        .pairs
-        .iter()
-        .map(|p| latent_quality(&bench.vis_objects[p.vis_id], p))
-        .collect()
 }
 
 #[cfg(test)]

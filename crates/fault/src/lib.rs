@@ -95,15 +95,53 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// FNV-1a hash of a string — the canonical way for a site to derive its
-/// content key (e.g. from the SQL text or a candidate's VQL).
-pub fn key_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// 64-bit FNV-1a, the workspace's one content digest: fault-site keys,
+/// the synthesizer's per-pair digests, the differential generator's case
+/// digests and the model's parameter checksum all feed it. The bits are
+/// pinned by goldens and tests, so the constants and the byte order of
+/// [`u64`](Fnv::u64) never change.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv {
+    /// Fold in raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 ^= u64::from(x);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Fold in a value as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Fold in a string prefixed by its length, so consecutive strings
+    /// cannot run into each other.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a hash of a string's bytes (no length prefix) — the canonical way
+/// for a site to derive its content key (e.g. from the SQL text or a
+/// candidate's VQL).
+pub fn key_str(s: &str) -> u64 {
+    let mut h = Fnv::default();
+    h.bytes(s.as_bytes());
+    h.finish()
 }
 
 /// splitmix64 finalizer — decorrelates the combined (seed, site, key) hash.
@@ -218,5 +256,26 @@ mod tests {
     fn key_str_is_stable_fnv() {
         assert_eq!(key_str(""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(key_str("SELECT 1"), key_str("SELECT 2"));
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(key_str("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(key_str("foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv_words_are_little_endian_and_strings_length_prefixed() {
+        let mut a = Fnv::default();
+        a.u64(0x0102);
+        a.str("ab");
+        let mut b = Fnv::default();
+        b.bytes(&[2, 1, 0, 0, 0, 0, 0, 0]);
+        b.bytes(&[2, 0, 0, 0, 0, 0, 0, 0]);
+        b.bytes(b"ab");
+        assert_eq!(a.finish(), b.finish());
+        let (mut x, mut y) = (Fnv::default(), Fnv::default());
+        x.str("ab");
+        x.str("c");
+        y.str("a");
+        y.str("bc");
+        assert_ne!(x.finish(), y.finish());
     }
 }

@@ -208,16 +208,13 @@ impl Seq2Seq {
     /// determinism tests compare these across thread counts and kernel
     /// policies.
     pub fn params_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = nv_core::fault::Fnv::default();
         for m in &self.store.mats {
             for &x in &m.data {
-                for byte in x.to_bits().to_le_bytes() {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                h.bytes(&x.to_bits().to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
 
     /// Worker threads for the per-sample fan-outs: `cfg.threads`, with 0
@@ -419,7 +416,7 @@ impl Seq2Seq {
         for chunk in samples.chunks(batch) {
             let _step = nv_trace::span("nn.step");
             let results: Vec<(GradSet, f32)> =
-                nv_core::par::map_ordered(chunk, threads, || (), |_, _, s| self.sample_grads(s));
+                nv_core::par::map_ordered(chunk, threads, |s| self.sample_grads(s));
             let mut grad_sets = Vec::with_capacity(results.len());
             for (gs, v) in results {
                 grad_sets.push(gs);
@@ -451,7 +448,7 @@ impl Seq2Seq {
         if samples.is_empty() {
             return 0.0;
         }
-        let losses = nv_core::par::map_ordered(samples, self.threads(), || (), |_, _, s| {
+        let losses = nv_core::par::map_ordered(samples, self.threads(), |s| {
             let mut tape = self.fresh_tape();
             let loss = self.forward_loss(&mut tape, s);
             tape.value(&self.store, loss).data[0]

@@ -78,12 +78,7 @@ fn derive_sibling(rng: &mut StdRng, db: &Database, prev: &VisQuery) -> Option<Vi
 /// pin this for a known seed and re-check it across threads and processes.
 pub fn case_digest(seed: u64, index: usize) -> u64 {
     let (db, queries) = gen_case(seed, index);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{db:?}|{queries:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    nv_core::fault::key_str(&format!("{db:?}|{queries:?}"))
 }
 
 // ---- databases -----------------------------------------------------------

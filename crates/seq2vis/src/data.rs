@@ -33,10 +33,13 @@ pub struct Dataset {
     pub samples: Vec<Sample>,
 }
 
-/// Prepare the dataset for a benchmark. NL tokens below `min_freq` become
-/// `<unk>`; target-side tokens are always kept (the decoder must be able to
-/// emit every VQL keyword and schema token it was trained on).
-pub fn build_dataset(bench: &NvBench, min_freq: usize) -> Dataset {
+/// NL tokens seen fewer times than this across the benchmark become `<unk>`.
+const MIN_FREQ: usize = 2;
+
+/// Prepare the dataset for a benchmark. NL tokens seen fewer than twice
+/// become `<unk>`; target-side tokens are always kept (the decoder must be
+/// able to emit every VQL keyword and schema token it was trained on).
+pub fn build_dataset(bench: &NvBench) -> Dataset {
     let mut src_streams: Vec<Vec<String>> = Vec::with_capacity(bench.pairs.len());
     let mut tgt_streams: Vec<Vec<String>> = Vec::with_capacity(bench.pairs.len());
     for pair in &bench.pairs {
@@ -47,17 +50,17 @@ pub fn build_dataset(bench: &NvBench, min_freq: usize) -> Dataset {
     }
 
     // Protect target tokens from the frequency cutoff by counting them with
-    // a weight that always clears `min_freq`.
+    // a weight that always clears `MIN_FREQ`.
     let mut streams: Vec<&[String]> = Vec::new();
     for s in &src_streams {
         streams.push(s.as_slice());
     }
     for t in &tgt_streams {
-        for _ in 0..min_freq.max(1) {
+        for _ in 0..MIN_FREQ {
             streams.push(t.as_slice());
         }
     }
-    let vocab = Vocab::build(streams.into_iter(), min_freq.max(1));
+    let vocab = Vocab::build(streams.into_iter(), MIN_FREQ);
 
     let samples = src_streams
         .iter()
@@ -90,7 +93,7 @@ mod tests {
     #[test]
     fn dataset_is_aligned_and_decodable() {
         let b = bench();
-        let ds = build_dataset(&b, 2);
+        let ds = build_dataset(&b);
         assert_eq!(ds.samples.len(), b.pairs.len());
         assert!(ds.vocab.len() > 50);
         // Every target token is in-vocab (no <unk> on the decoder side).
@@ -107,7 +110,7 @@ mod tests {
     #[test]
     fn source_contains_sep_and_schema() {
         let b = bench();
-        let ds = build_dataset(&b, 2);
+        let ds = build_dataset(&b);
         let pair = &b.pairs[0];
         let vis = &b.vis_objects[pair.vis_id];
         let db = b.database(&vis.db_name).unwrap();
@@ -138,7 +141,7 @@ mod tests {
     #[test]
     fn subset_selects_rows() {
         let b = bench();
-        let ds = build_dataset(&b, 2);
+        let ds = build_dataset(&b);
         let sub = ds.subset(&[0, 2]);
         assert_eq!(sub.len(), 2);
         assert_eq!(sub[0], ds.samples[0]);

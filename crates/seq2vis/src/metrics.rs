@@ -10,7 +10,7 @@
 
 use nv_ast::{ChartType, Components, Hardness, Literal, Operand, Predicate, SetQuery, VisQuery};
 use nv_core::{par, trace, Nl2VisPredictor, NvBench};
-use nv_data::execute;
+use nv_data::{execute, Database};
 use std::collections::BTreeMap;
 
 /// Per-pair evaluation outcome.
@@ -71,23 +71,29 @@ fn normalize_tree(q: &VisQuery) -> VisQuery {
         }
     }
     fn norm_set(s: &mut SetQuery) {
-        match s {
-            SetQuery::Simple(b) => {
-                if let Some(f) = &mut b.filter {
-                    norm_pred(f);
-                }
-            }
-            SetQuery::Compound { left, right, .. } => {
-                for b in [left, right] {
-                    if let Some(f) = &mut b.filter {
-                        norm_pred(f);
-                    }
-                }
+        for b in s.bodies_mut() {
+            if let Some(f) = &mut b.filter {
+                norm_pred(f);
             }
         }
     }
     norm_set(&mut q.query);
     q
+}
+
+/// The §4.2 rule for a correct prediction, the one every scorer uses:
+/// `pred` tree-matches `gold` (after literal normalization), or else it
+/// draws the same chart type and both trees execute on `db` to equal data.
+/// Returns `(tree_match, result_match)`; a tree match is also a result
+/// match.
+pub fn prediction_match(db: &Database, pred: &VisQuery, gold: &VisQuery) -> (bool, bool) {
+    let (pred, gold) = (normalize_tree(pred), normalize_tree(gold));
+    if pred == gold {
+        return (true, true);
+    }
+    let same_data = pred.chart == gold.chart
+        && matches!((execute(db, &pred), execute(db, &gold)), (Ok(a), Ok(b)) if a.data_eq(&b));
+    (false, same_data)
 }
 
 /// Score one benchmark pair: predict, then tree-, component- and
@@ -99,7 +105,7 @@ fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCas
     let gold = normalize_tree(&vis.tree);
     let gold_comp = Components::of(&gold);
 
-    let predicted = pred.predict(&pair.nl, db).map(|t| normalize_tree(&t));
+    let predicted = pred.predict(&pair.nl, db);
     let mut case = EvalCase {
         pair_id: pair.pair_id,
         gold_chart: vis.chart,
@@ -112,20 +118,10 @@ fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCas
         comp_present: gold_comp.present_either(&Components::default()),
     };
     if let Some(p) = predicted {
-        case.tree_match = p == gold;
-        let pc = Components::of(&p);
+        (case.tree_match, case.result_match) = prediction_match(db, &p, &vis.tree);
+        let pc = Components::of(&normalize_tree(&p));
         case.comp_match = pc.matches(&gold_comp);
         case.comp_present = pc.present_either(&gold_comp);
-        case.result_match = if case.tree_match {
-            true
-        } else if p.chart == gold.chart {
-            match (execute(db, &p), execute(db, &gold)) {
-                (Ok(a), Ok(b)) => a.data_eq(&b),
-                _ => false,
-            }
-        } else {
-            false
-        };
     }
     case
 }
@@ -135,13 +131,12 @@ fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCas
 /// order, so the report does not depend on the thread count.
 pub fn evaluate(pred: &dyn Nl2VisPredictor, bench: &NvBench, pair_idx: &[usize]) -> EvalReport {
     let _span = trace::span("seq2vis.eval");
-    let cases = par::map_ordered(pair_idx, par::available_threads(), || (), |_, _, &pi| {
-        score_pair(pred, bench, pi)
-    });
+    let cases =
+        par::map_ordered(pair_idx, par::available_threads(), |&pi| score_pair(pred, bench, pi));
     EvalReport { system: pred.name(), cases }
 }
 
-/// Top-k tree-matching accuracy (Table 5's DeepEye top-1/3/6/all columns):
+/// Top-k tree-matching accuracy (Table 5's DeepEye top-1/3/6/19 columns):
 /// a hit if any of the k predictions tree-matches. Pairs are scored on
 /// every available core; the per-hardness `(hits, total)` tallies are
 /// folded afterwards.
@@ -152,7 +147,7 @@ pub fn evaluate_top_k(
     k: usize,
 ) -> BTreeMap<Hardness, (usize, usize)> {
     let _span = trace::span("seq2vis.eval");
-    let scored = par::map_ordered(pair_idx, par::available_threads(), || (), |_, _, &pi| {
+    let scored = par::map_ordered(pair_idx, par::available_threads(), |&pi| {
         let pair = &bench.pairs[pi];
         let vis = &bench.vis_objects[pair.vis_id];
         let db = bench.database(&vis.db_name).expect("db exists");
@@ -311,7 +306,6 @@ mod tests {
     use super::*;
     use nv_ast::tokens::parse_vql_str;
     use nv_core::{Nl2SqlToNl2Vis, SynthesizerConfig};
-    use nv_data::Database;
     use nv_spider::{CorpusConfig, SpiderCorpus};
 
     fn bench() -> NvBench {

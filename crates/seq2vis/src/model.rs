@@ -21,12 +21,7 @@ pub struct Seq2VisConfig {
     pub max_epochs: usize,
     /// Early-stopping patience (paper: 5).
     pub patience: usize,
-    /// NL-token frequency cutoff for the vocab.
-    pub min_freq: usize,
     pub seed: u64,
-    /// Batch-member worker threads for training (0 = one per core);
-    /// training is bit-identical for any value.
-    pub threads: usize,
 }
 
 impl Seq2VisConfig {
@@ -39,9 +34,7 @@ impl Seq2VisConfig {
             batch: 16,
             max_epochs: 18,
             patience: 5,
-            min_freq: 2,
             seed: 42,
-            threads: 0,
         }
     }
 
@@ -67,7 +60,7 @@ pub struct Seq2Vis {
 impl Seq2Vis {
     /// Build the dataset and an untrained model for a benchmark.
     pub fn prepare(bench: &NvBench, cfg: Seq2VisConfig) -> (Seq2Vis, Dataset) {
-        let dataset = build_dataset(bench, cfg.min_freq);
+        let dataset = build_dataset(bench);
         let model = Seq2Vis::from_dataset(&dataset, cfg);
         (model, dataset)
     }
@@ -88,7 +81,8 @@ impl Seq2Vis {
             bos: BOS,
             eos: EOS,
             max_decode_len: 80,
-            threads: cfg.threads,
+            // Every core; training is bit-identical for any thread count.
+            threads: 0,
             kernel: KernelPolicy::Fast,
         };
         let model = Seq2Seq::new(s2s_cfg);

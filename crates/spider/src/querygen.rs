@@ -265,10 +265,9 @@ impl<'a> QueryGen<'a> {
         let group_col = self.pick_from(&cats)?;
         let quants = self.cols_of(table, ColumnType::Quantitative);
 
-        let (agg, agg_attr, agg_phrase): (AggFunc, Attr, String) =
+        let (agg_attr, agg_phrase): (Attr, String) =
             if quants.is_empty() || self.rng.random::<f64>() < 0.4 {
                 (
-                    AggFunc::Count,
                     Attr::agg(AggFunc::Count, tname.clone(), "*"),
                     format!("the number of {}", plural(&display(&tname))),
                 )
@@ -277,20 +276,11 @@ impl<'a> QueryGen<'a> {
                 let agg = self
                     .pick_from(&[AggFunc::Avg, AggFunc::Sum, AggFunc::Max, AggFunc::Min])
                     .unwrap();
-                let word = match agg {
-                    AggFunc::Avg => "average",
-                    AggFunc::Sum => "total",
-                    AggFunc::Max => "maximum",
-                    AggFunc::Min => "minimum",
-                    _ => unreachable!(),
-                };
                 (
-                    agg,
                     Attr::agg(agg, tname.clone(), q.clone()),
-                    format!("the {word} {}", display(&q)),
+                    format!("the {} {}", agg.nl_word(), display(&q)),
                 )
             };
-        let _ = agg;
 
         let mut body = QueryBody::simple(
             tname.clone(),

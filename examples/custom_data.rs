@@ -82,7 +82,7 @@ fn main() {
     println!("\ninput SQL: {sql}");
 
     // …and the synthesizer turns it into charts with NL descriptions.
-    let synth = Nl2SqlToNl2Vis::new(SynthesizerConfig { max_vis_per_pair: 5, ..Default::default() });
+    let synth = Nl2SqlToNl2Vis::new(SynthesizerConfig::default());
     let result = synth.synthesize_pair(&db, &nl, &sql, 11).expect("synthesis");
     println!(
         "{} candidates generated, {} kept\n",

@@ -21,7 +21,9 @@
 #                                  # tests under the release codegen
 #   scripts/ci.sh nvperf           # benchmark-harness tests, including a
 #                                  # tiny checked smoke run of every workload
-#   scripts/ci.sh quick            # `reproduce quick` against its golden
+#   scripts/ci.sh quick            # `reproduce quick`, at the default and
+#                                  # at one synthesis thread, against its
+#                                  # golden
 #   scripts/ci.sh quick --bless    # regenerate that golden, then re-verify
 #   scripts/ci.sh examples         # run the fast examples in release,
 #                                  # custom_data on a ragged CSV (exit 1),
@@ -91,11 +93,12 @@ run_gradcheck() {
   cargo test --release -q -p nv-nn
 }
 
-# `reproduce quick` minus the lines that carry wall times or the machine's
-# thread count; everything else is seeded and must not move.
+# `reproduce quick` (extra arguments pass through) minus the lines that
+# carry wall times or the machine's thread count; everything else is seeded
+# and must not move.
 quick_output() {
   cargo build --release -q -p nv-bench --bin reproduce
-  target/release/reproduce quick | grep -vE \
+  target/release/reproduce quick "$@" | grep -vE \
     '^=== nvBench reproduction |^\[[A-Za-z0-9_]+\] [0-9.]+s$|^\[setup\] |^\[training\] done in |^=== total '
 }
 
@@ -109,6 +112,10 @@ run_quick() {
     echo "=== reproduce quick: verify against $golden ==="
   fi
   diff -u "$golden" <(quick_output)
+  # Synthesis runs on every core by default; one worker must print the
+  # same report.
+  echo "=== reproduce quick threads=1: verify against $golden ==="
+  diff -u "$golden" <(quick_output threads=1)
 }
 
 # The examples are runtime surfaces too; the two that train models

@@ -70,8 +70,7 @@ fn generator_is_deterministic_across_thread_counts() {
     let indices: Vec<usize> = (0..48).collect();
     let serial: Vec<u64> = indices.iter().map(|&i| case_digest(0xD5, i)).collect();
     for threads in [2, 4] {
-        let parallel: Vec<u64> =
-            map_ordered(&indices, threads, || (), |_, _, &i| case_digest(0xD5, i));
+        let parallel: Vec<u64> = map_ordered(&indices, threads, |&i| case_digest(0xD5, i));
         assert_eq!(serial, parallel, "digest stream changed at {threads} threads");
     }
 }
