@@ -5,15 +5,16 @@
 
 use crate::context::{train_variant, Context, Scale};
 use nvbench::ast::{ChartType, Hardness};
+use nvbench::core::stats::{overall, rate};
 use nvbench::core::{
     column_census, paper_reference_report, size_histograms, table3 as core_table3,
-    type_hardness_matrix, CostModel, CostReport, DatasetStats, Nl2VisPredictor,
+    type_hardness_matrix, CostReport, DatasetStats, Nl2VisPredictor, SECONDS_PER_SCRATCH_QUERY,
 };
 use nvbench::baselines::{DeepEyeBaseline, Nl4DvBaseline};
 use nvbench::eval::{inter_rater, run_study, simulate_t3, StudyResult};
 use nvbench::nn::ModelVariant;
 use nvbench::seq2vis::{
-    build_dataset, evaluate, evaluate_top_k, prediction_match, value_fill_accuracy, EvalReport,
+    build_dataset, evaluate, evaluate_top_ks, prediction_match, value_fill_accuracy, EvalReport,
     Seq2Vis,
 };
 use std::fmt::Write as _;
@@ -180,9 +181,9 @@ pub fn exp_fig10(ctx: &Context) -> String {
 
 /// Figure 12 — inter-rater reliability over 50 overlapping T2 pairs.
 pub fn exp_fig12(ctx: &Context) -> String {
-    let ir = inter_rater(&ctx.bench, 50, 7);
+    let ir = inter_rater(&ctx.bench);
     let mut out = String::new();
-    writeln!(out, "Figure 12: inter-rater reliability (50 T2 pairs)").unwrap();
+    writeln!(out, "Figure 12: inter-rater reliability ({} T2 pairs)", ir.per_pair.len()).unwrap();
     writeln!(
         out,
         "  fully agree: {}  mainly agree (Δ=1): {}  disagree (Δ≥2): {}",
@@ -232,11 +233,12 @@ pub fn exp_fig13(ctx: &Context) -> String {
 
 /// Figure 14 — T3 writing time + the §3.3 man-hour comparison.
 pub fn exp_fig14(ctx: &Context) -> String {
-    let timing = simulate_t3(&ctx.bench, 460, 42);
-    let cost = CostReport::of(&ctx.bench, CostModel::default());
+    let timing = simulate_t3(&ctx.bench);
+    let cost = CostReport::of(&ctx.bench);
     let paper = paper_reference_report();
     let mut out = String::new();
-    writeln!(out, "Figure 14: T3 writing time (460 simulated tasks, seconds)").unwrap();
+    writeln!(out, "Figure 14: T3 writing time ({} simulated tasks, seconds)", timing.samples.len())
+        .unwrap();
     writeln!(
         out,
         "  min {:.0}  median {:.0}  mean {:.0}  max {:.0}",
@@ -256,7 +258,7 @@ pub fn exp_fig14(ctx: &Context) -> String {
         out,
         "  from scratch: {} pairs × {:.0}s → {:.1} days  (ratio {:.1}%, speedup {:.1}×)",
         cost.total_pairs,
-        CostModel::default().seconds_per_scratch_query,
+        SECONDS_PER_SCRATCH_QUERY,
         cost.scratch_days(),
         cost.cost_ratio() * 100.0,
         cost.speedup()
@@ -396,64 +398,33 @@ pub fn exp_table5(ctx: &Context, scale: Scale, seq2vis: &(Seq2Vis, EvalReport)) 
     let deepeye = DeepEyeBaseline::new(42);
     let nl4dv = Nl4DvBaseline::new();
 
-    let mut out = String::new();
-    writeln!(out, "Table 5: comparison with the state of the art (tree match)").unwrap();
-    writeln!(
-        out,
-        "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "hardness", "DE top-1", "DE top-3", "DE top-6", "DE top-19", "NL4DV", "SEQ2VIS"
-    )
-    .unwrap();
-
-    let de: Vec<std::collections::BTreeMap<Hardness, (usize, usize)>> = [1usize, 3, 6, 19]
-        .iter()
-        .map(|&k| evaluate_top_k(&deepeye, &ctx.bench, &idx, k))
-        .collect();
+    let de = evaluate_top_ks(&deepeye, &ctx.bench, &idx, &[1, 3, 6, 19]);
     let nl = evaluate(&nl4dv, &ctx.bench, &idx);
     let nl_h = nl.by_hardness();
     let sv_h = seq2vis.1.by_hardness();
 
-    let rate = |m: &std::collections::BTreeMap<Hardness, (usize, usize)>, h: Hardness| {
-        m.get(&h)
-            .map(|(a, b)| if *b == 0 { 0.0 } else { *a as f64 / *b as f64 })
-            .unwrap_or(0.0)
-    };
-    for h in Hardness::ALL {
-        writeln!(
-            out,
-            "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            h.name(),
-            pct(rate(&de[0], h)),
-            pct(rate(&de[1], h)),
-            pct(rate(&de[2], h)),
-            pct(rate(&de[3], h)),
-            pct(nl_h.get(&h).copied().unwrap_or(0.0)),
-            pct(sv_h.get(&h).copied().unwrap_or(0.0)),
-        )
-        .unwrap();
-    }
-    let overall = |m: &std::collections::BTreeMap<Hardness, (usize, usize)>| {
-        let (a, b) = m
-            .values()
-            .fold((0usize, 0usize), |(x, y), (a, b)| (x + a, y + b));
-        if b == 0 {
-            0.0
-        } else {
-            a as f64 / b as f64
+    let row = |out: &mut String, label: &str, cells: &[String]| {
+        write!(out, "  {label:<12}").unwrap();
+        for c in cells {
+            write!(out, " {c:>9}").unwrap();
         }
+        writeln!(out).unwrap();
     };
-    writeln!(
-        out,
-        "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "Overall",
-        pct(overall(&de[0])),
-        pct(overall(&de[1])),
-        pct(overall(&de[2])),
-        pct(overall(&de[3])),
-        pct(nl.tree_accuracy()),
-        pct(seq2vis.1.tree_accuracy()),
-    )
-    .unwrap();
+    let mut out = String::new();
+    writeln!(out, "Table 5: comparison with the state of the art (tree match)").unwrap();
+    let header = ["DE top-1", "DE top-3", "DE top-6", "DE top-19", "NL4DV", "SEQ2VIS"];
+    row(&mut out, "hardness", &header.map(String::from));
+    for h in Hardness::ALL {
+        let mut cells: Vec<String> =
+            de.iter().map(|m| pct(rate(m.get(&h).copied().unwrap_or((0, 0))))).collect();
+        cells.push(pct(nl_h.get(&h).copied().unwrap_or(0.0)));
+        cells.push(pct(sv_h.get(&h).copied().unwrap_or(0.0)));
+        row(&mut out, h.name(), &cells);
+    }
+    let mut cells: Vec<String> = de.iter().map(|m| pct(rate(overall(m)))).collect();
+    cells.push(pct(nl.tree_accuracy()));
+    cells.push(pct(seq2vis.1.tree_accuracy()));
+    row(&mut out, "Overall", &cells);
     out
 }
 

@@ -109,13 +109,12 @@ impl Split {
     /// Distribution of (chart type, hardness) over a subset of pairs — the
     /// Figure-16 heatmap.
     pub fn heatmap(bench: &NvBench, subset: &[usize]) -> Vec<((ChartType, Hardness), usize)> {
-        let mut counts: std::collections::BTreeMap<(ChartType, Hardness), usize> =
-            Default::default();
-        for &pi in subset {
+        crate::stats::counts(subset.iter().map(|&pi| {
             let vis = &bench.vis_objects[bench.pairs[pi].vis_id];
-            *counts.entry((vis.chart, vis.hardness)).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
+            (vis.chart, vis.hardness)
+        }))
+        .into_iter()
+        .collect()
     }
 }
 

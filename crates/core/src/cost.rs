@@ -13,21 +13,11 @@
 
 use crate::benchmark::NvBench;
 
-/// Tunable time constants (paper defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Seconds to manually revise one NL variant after deletions (§3.1).
-    pub seconds_per_manual_edit: f64,
-    /// Average seconds for an expert to write one NL query from scratch
-    /// (measured in task T3, Figure 14).
-    pub seconds_per_scratch_query: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { seconds_per_manual_edit: 60.0, seconds_per_scratch_query: 140.0 }
-    }
-}
+/// Seconds to manually revise one NL variant after deletions (§3.1).
+pub const SECONDS_PER_MANUAL_EDIT: f64 = 60.0;
+/// Average seconds for an expert to write one NL query from scratch
+/// (measured in task T3, Figure 14).
+pub const SECONDS_PER_SCRATCH_QUERY: f64 = 140.0;
 
 /// The cost comparison for one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +35,7 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    pub fn of(bench: &NvBench, model: CostModel) -> CostReport {
+    pub fn of(bench: &NvBench) -> CostReport {
         let manual_vis: Vec<usize> = bench
             .vis_objects
             .iter()
@@ -58,16 +48,21 @@ impl CostReport {
             .iter()
             .filter(|p| manual_set.contains(&p.vis_id))
             .count();
-        let synthesizer_hours =
-            manual_nl_variants as f64 * model.seconds_per_manual_edit / 3600.0;
-        let scratch_hours =
-            bench.pairs.len() as f64 * model.seconds_per_scratch_query / 3600.0;
+        CostReport::from_counts(manual_vis.len(), manual_nl_variants, bench.pairs.len())
+    }
+
+    /// Price the counts with the paper's time constants.
+    fn from_counts(
+        manual_vis_objects: usize,
+        manual_nl_variants: usize,
+        total_pairs: usize,
+    ) -> CostReport {
         CostReport {
-            manual_vis_objects: manual_vis.len(),
+            manual_vis_objects,
             manual_nl_variants,
-            total_pairs: bench.pairs.len(),
-            synthesizer_hours,
-            scratch_hours,
+            total_pairs,
+            synthesizer_hours: manual_nl_variants as f64 * SECONDS_PER_MANUAL_EDIT / 3600.0,
+            scratch_hours: total_pairs as f64 * SECONDS_PER_SCRATCH_QUERY / 3600.0,
         }
     }
 
@@ -103,13 +98,7 @@ impl CostReport {
 /// Reproduce the paper's own arithmetic with its published constants —
 /// 1,838 manual vis objects / 3,500 variants / 25,750 pairs.
 pub fn paper_reference_report() -> CostReport {
-    CostReport {
-        manual_vis_objects: 1838,
-        manual_nl_variants: 3500,
-        total_pairs: 25_750,
-        synthesizer_hours: 3500.0 * 60.0 / 3600.0,
-        scratch_hours: 25_750.0 * 140.0 / 3600.0,
-    }
+    CostReport::from_counts(1838, 3500, 25_750)
 }
 
 #[cfg(test)]
@@ -152,7 +141,7 @@ mod tests {
                 .map(|i| NlVisPair { pair_id: i, vis_id: i % 2, nl: "q".into() })
                 .collect(),
         };
-        let r = CostReport::of(&bench, CostModel::default());
+        let r = CostReport::of(&bench);
         assert_eq!(r.manual_vis_objects, 1);
         assert_eq!(r.manual_nl_variants, 3);
         assert_eq!(r.total_pairs, 6);
@@ -167,7 +156,7 @@ mod tests {
             vis_objects: vec![],
             pairs: vec![],
         };
-        let r = CostReport::of(&bench, CostModel::default());
+        let r = CostReport::of(&bench);
         assert_eq!(r.cost_ratio(), 0.0);
         assert_eq!(r.speedup(), f64::INFINITY);
     }

@@ -58,7 +58,9 @@ pub use nv_trace as trace;
 pub use benchmark::{NlVisPair, NvBench, Split, VisObject};
 pub use error::NvErrorKind;
 pub use io::{from_json, to_json, IoError};
-pub use cost::{paper_reference_report, CostModel, CostReport};
+pub use cost::{
+    paper_reference_report, CostReport, SECONDS_PER_MANUAL_EDIT, SECONDS_PER_SCRATCH_QUERY,
+};
 pub use pipeline::{
     CorpusSynthesis, Nl2SqlToNl2Vis, PairSynthesis, PipelineError, QuarantineEntry,
     SynthStage, SynthesizerConfig,

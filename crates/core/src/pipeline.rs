@@ -616,10 +616,10 @@ mod tests {
     }
 
     /// Pairs dealt round-robin across databases (A, B, C, A, B, …) make
-    /// every worker switch database on nearly every pair. Each switch
-    /// starts a fresh cache, so output matches the oracle; a cache kept
-    /// across the switch would trip `ExecCache::bind` and quarantine the
-    /// pair as internal.
+    /// every worker switch database on nearly every pair. On each switch
+    /// `ExecCache::bind` drops the worker cache's memo and starts afresh,
+    /// so no scan of one database serves another and output matches the
+    /// oracle.
     #[test]
     fn interleaved_databases_match_sequential_oracle() {
         let mut corpus = SpiderCorpus::generate(&CorpusConfig::small(8));

@@ -19,7 +19,11 @@ pub trait Nl2VisPredictor: Sync {
     /// support).
     fn predict(&self, nl: &str, db: &Database) -> Option<VisQuery>;
 
-    /// Top-k predictions, best first. The default wraps [`predict`].
+    /// Top-k predictions, best first. Implementations keep the prefix
+    /// contract: for any `k <= K`, the top-k list is the first k entries of
+    /// the top-K list, so a scorer can rank once at the largest k and read
+    /// every smaller k off that one list (as seq2vis's `evaluate_top_ks`
+    /// does for Table 5). The default wraps [`predict`].
     ///
     /// [`predict`]: Nl2VisPredictor::predict
     fn predict_top_k(&self, nl: &str, db: &Database, k: usize) -> Vec<VisQuery> {

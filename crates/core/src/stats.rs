@@ -1,5 +1,6 @@
 //! Benchmark statistics — the computations behind Table 2, Table 3 and
-//! Figures 8–10 of the paper.
+//! Figures 8–10 of the paper — and the one `(hits, total)` fold
+//! ([`tally`]) behind every per-key count and accuracy table.
 
 use crate::benchmark::NvBench;
 use nv_ast::{ChartType, Hardness};
@@ -147,13 +148,50 @@ pub fn table3(bench: &NvBench) -> Vec<ChartTypeRow> {
     rows
 }
 
-/// Figure-10 matrix: vis counts by (chart type, hardness).
-pub fn type_hardness_matrix(bench: &NvBench) -> BTreeMap<(ChartType, Hardness), usize> {
+/// `(hits, total)` per key over `(key, hit)` outcomes: the one fold behind
+/// every accuracy breakdown (Tables 4–5, Figure 17) and, through
+/// [`counts`], every count-by-key table (Figures 10 and 16). Keys without
+/// an outcome are absent, never `(0, 0)`.
+pub fn tally<K: Ord>(outcomes: impl IntoIterator<Item = (K, bool)>) -> BTreeMap<K, (usize, usize)> {
     let mut m = BTreeMap::new();
-    for v in &bench.vis_objects {
-        *m.entry((v.chart, v.hardness)).or_insert(0) += 1;
+    for (key, hit) in outcomes {
+        let e = m.entry(key).or_insert((0, 0));
+        e.0 += usize::from(hit);
+        e.1 += 1;
     }
     m
+}
+
+/// Occurrences per key: the totals of [`tally`].
+pub fn counts<K: Ord>(keys: impl IntoIterator<Item = K>) -> BTreeMap<K, usize> {
+    tally(keys.into_iter().map(|k| (k, false)))
+        .into_iter()
+        .map(|(k, (_, n))| (k, n))
+        .collect()
+}
+
+/// `hits / total`; 0 (never NaN) for an empty tally.
+pub fn rate((hits, total): (usize, usize)) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
+/// [`rate`] per key.
+pub fn rates<K: Ord + Clone>(tallies: &BTreeMap<K, (usize, usize)>) -> BTreeMap<K, f64> {
+    tallies.iter().map(|(k, &t)| (k.clone(), rate(t))).collect()
+}
+
+/// The tallies summed over every key.
+pub fn overall<K>(tallies: &BTreeMap<K, (usize, usize)>) -> (usize, usize) {
+    tallies.values().fold((0, 0), |(h, n), &(a, b)| (h + a, n + b))
+}
+
+/// Figure-10 matrix: vis counts by (chart type, hardness).
+pub fn type_hardness_matrix(bench: &NvBench) -> BTreeMap<(ChartType, Hardness), usize> {
+    counts(bench.vis_objects.iter().map(|v| (v.chart, v.hardness)))
 }
 
 /// Figure-9 column-level census over the quantitative columns of the
@@ -295,6 +333,19 @@ mod tests {
         let m = type_hardness_matrix(&b);
         let total: usize = m.values().sum();
         assert_eq!(total, b.vis_objects.len());
+    }
+
+    #[test]
+    fn tally_counts_hits_and_totals_per_key() {
+        let t = tally([("a", true), ("b", false), ("a", false), ("a", true)]);
+        assert_eq!(t, BTreeMap::from([("a", (2, 3)), ("b", (0, 1))]));
+        assert_eq!(overall(&t), (2, 4));
+        assert_eq!(rates(&t), BTreeMap::from([("a", 2.0 / 3.0), ("b", 0.0)]));
+        assert_eq!(counts(["x", "y", "x"]), BTreeMap::from([("x", 2), ("y", 1)]));
+        let empty = tally(std::iter::empty::<(u8, bool)>());
+        assert!(empty.is_empty());
+        assert_eq!(overall(&empty), (0, 0));
+        assert_eq!(rate(overall(&empty)), 0.0);
     }
 
     #[test]

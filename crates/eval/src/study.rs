@@ -15,6 +15,9 @@ const N_CROWD: usize = 312;
 const VOTES_START: usize = 3;
 const VOTES_CAP: usize = 7;
 const STUDY_SEED: u64 = 42;
+/// Figure 12: overlapping T2 pairs rated by one expert and three workers.
+const INTER_RATER_PAIRS: usize = 50;
+const INTER_RATER_SEED: u64 = 7;
 
 /// Likert histogram (index 0 ↔ Strongly Disagree … index 4 ↔ Strongly
 /// Agree).
@@ -102,8 +105,9 @@ pub fn run_study(bench: &NvBench, sample_frac: f64) -> StudyResult {
     result
 }
 
-/// Figure-12 inter-rater data: for `n` overlapping T2 pairs, one expert
-/// rating plus three crowd ratings each; classified by maximum disagreement.
+/// Figure-12 inter-rater data: for 50 overlapping T2 pairs (fewer on a
+/// smaller benchmark), one expert rating plus three crowd ratings each;
+/// classified by maximum disagreement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterRater {
     /// Per sampled pair: (all ratings, max |difference|).
@@ -113,14 +117,14 @@ pub struct InterRater {
     pub disagree: usize,
 }
 
-pub fn inter_rater(bench: &NvBench, n: usize, seed: u64) -> InterRater {
-    let mut rng = StdRng::seed_from_u64(seed);
+pub fn inter_rater(bench: &NvBench) -> InterRater {
+    let mut rng = StdRng::seed_from_u64(INTER_RATER_SEED);
     let experts: Vec<Rater> = (0..N_EXPERTS).map(|_| Rater::expert(&mut rng)).collect();
     let crowd: Vec<Rater> = (0..40).map(|_| Rater::crowd(&mut rng)).collect();
 
     let mut per_pair = Vec::new();
     let (mut fully, mut mainly, mut dis) = (0usize, 0usize, 0usize);
-    for _ in 0..n.min(bench.pairs.len()) {
+    for _ in 0..INTER_RATER_PAIRS.min(bench.pairs.len()) {
         let pi = rng.random_range(0..bench.pairs.len());
         let pair = &bench.pairs[pi];
         let vis = &bench.vis_objects[pair.vis_id];
@@ -191,7 +195,7 @@ mod tests {
     #[test]
     fn inter_rater_mostly_agrees() {
         let b = bench();
-        let ir = inter_rater(&b, 50, 7);
+        let ir = inter_rater(&b);
         assert_eq!(ir.per_pair.len(), 50);
         assert_eq!(ir.fully_agree + ir.mainly_agree + ir.disagree, 50);
         // Figure 12's shape: full+mainly agreement dominates.

@@ -37,11 +37,16 @@ pub struct TimingReport {
     pub max: f64,
 }
 
-/// Simulate `n` T3 tasks drawn from the benchmark's hardness mix.
-pub fn simulate_t3(bench: &NvBench, n: usize, seed: u64) -> TimingReport {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
+/// The paper's T3 sample: 460 handwritten queries.
+const T3_TASKS: usize = 460;
+const T3_SEED: u64 = 42;
+
+/// Simulate the paper's 460 T3 tasks, drawn from the benchmark's hardness
+/// mix.
+pub fn simulate_t3(bench: &NvBench) -> TimingReport {
+    let mut rng = StdRng::seed_from_u64(T3_SEED);
+    let mut samples = Vec::with_capacity(T3_TASKS);
+    for _ in 0..T3_TASKS {
         let hardness = if bench.vis_objects.is_empty() {
             Hardness::Medium
         } else {
@@ -62,14 +67,6 @@ fn summarize(mut samples: Vec<f64>) -> TimingReport {
     TimingReport { samples, min, median, mean, max }
 }
 
-impl TimingReport {
-    /// Extrapolated from-scratch man-days for `total_pairs` NL queries
-    /// (paper: 140 s × 25,750 ≈ 42 days).
-    pub fn scratch_days(&self, total_pairs: usize) -> f64 {
-        self.mean * total_pairs as f64 / 3600.0 / 24.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +78,7 @@ mod tests {
         let corpus = SpiderCorpus::generate(&CorpusConfig::small(13));
         let bench =
             Nl2SqlToNl2Vis::new(SynthesizerConfig::default()).synthesize_corpus(&corpus).bench;
-        let r = simulate_t3(&bench, 460, 42);
+        let r = simulate_t3(&bench);
         assert_eq!(r.samples.len(), 460);
         assert!(r.min >= 37.0 && r.max <= 411.0);
         // Right-skewed: mean above median; in the paper's ballpark.
@@ -99,13 +96,5 @@ mod tests {
         let easy = avg(Hardness::Easy, &mut rng);
         let extra = avg(Hardness::ExtraHard, &mut rng);
         assert!(extra > easy * 1.3, "{easy} vs {extra}");
-    }
-
-    #[test]
-    fn scratch_days_extrapolation() {
-        let r = summarize(vec![140.0; 100]);
-        // 140 s × 25,750 / 86,400 ≈ 41.7 days.
-        let days = r.scratch_days(25_750);
-        assert!((days - 41.7).abs() < 0.3, "{days}");
     }
 }

@@ -34,42 +34,42 @@ impl DeepEyeFilter {
 
     /// M(v): true ⇔ the chart is good (paper §2.4).
     pub fn is_good(&self, cd: &ChartData) -> bool {
-        self.verdict(cd).0
+        self.judge(cd).0
     }
 
     /// Verdict plus a human-readable reason for pruned charts.
     pub fn verdict(&self, cd: &ChartData) -> (bool, &'static str) {
-        let f = ChartFeatures::of(cd);
-        match expert_rules(&f) {
-            RuleVerdict::Invalid(r) | RuleVerdict::Bad(r) => (false, r),
-            RuleVerdict::Pass => {
-                if self.classifier.predict(&f.vector()) {
-                    (true, "good")
-                } else {
-                    (false, "classifier: low quality")
-                }
-            }
-        }
+        let (good, _, reason) = self.judge(cd);
+        (good, reason)
     }
 
     /// Ranking score in [0, 1] (rule failures score 0) — used by the DeepEye
     /// keyword-search baseline to order its top-k charts.
     pub fn score(&self, cd: &ChartData) -> f64 {
-        self.evaluate(cd).1
+        self.judge(cd).1
     }
 
-    /// One pass over the features: (M(v) verdict, ranking score). Equivalent
-    /// to calling [`is_good`](Self::is_good) and [`score`](Self::score) but
-    /// extracts the feature vector once — the synthesis pipeline evaluates
-    /// dozens of candidates per pair, so the doubled extraction showed up.
+    /// (M(v) verdict, ranking score) from one pass over the features — the
+    /// synthesis pipeline's per-candidate call.
     pub fn evaluate(&self, cd: &ChartData) -> (bool, f64) {
+        let (good, score, _) = self.judge(cd);
+        (good, score)
+    }
+
+    /// The one "rules, then classifier" pass behind every accessor:
+    /// (verdict, ranking score, reason). An invalid chart scores 0 and a
+    /// rule-pruned one 0.05; a chart that passes the rules is decided and
+    /// scored by the classifier.
+    fn judge(&self, cd: &ChartData) -> (bool, f64, &'static str) {
         let f = ChartFeatures::of(cd);
         match expert_rules(&f) {
-            RuleVerdict::Invalid(_) => (false, 0.0),
-            RuleVerdict::Bad(_) => (false, 0.05),
+            RuleVerdict::Invalid(r) => (false, 0.0, r),
+            RuleVerdict::Bad(r) => (false, 0.05, r),
             RuleVerdict::Pass => {
                 let v = f.vector();
-                (self.classifier.predict(&v), self.classifier.prob(&v))
+                let good = self.classifier.predict(&v);
+                let reason = if good { "good" } else { "classifier: low quality" };
+                (good, self.classifier.prob(&v), reason)
             }
         }
     }

@@ -18,7 +18,8 @@ pub mod vocab;
 
 pub use data::{build_dataset, source_tokens, target_tokens, Dataset};
 pub use metrics::{
-    evaluate, evaluate_top_k, prediction_match, value_fill_accuracy, EvalCase, EvalReport,
+    evaluate, evaluate_top_k, evaluate_top_ks, prediction_match, value_fill_accuracy, EvalCase,
+    EvalReport,
 };
 pub use model::{Seq2Vis, Seq2VisConfig};
 pub use values::{extract_candidates, fill_values, mask_values, Candidate};

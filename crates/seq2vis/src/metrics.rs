@@ -9,6 +9,7 @@
 //!   Axis/Select, Where, Join, Grouping, Binning, Order).
 
 use nv_ast::{ChartType, Components, Hardness, Literal, Operand, Predicate, SetQuery, VisQuery};
+use nv_core::stats::{overall, rate, rates, tally};
 use nv_core::{par, trace, Nl2VisPredictor, NvBench};
 use nv_data::{execute, Database};
 use std::collections::BTreeMap;
@@ -87,17 +88,21 @@ fn normalize_tree(q: &VisQuery) -> VisQuery {
 /// Returns `(tree_match, result_match)`; a tree match is also a result
 /// match.
 pub fn prediction_match(db: &Database, pred: &VisQuery, gold: &VisQuery) -> (bool, bool) {
-    let (pred, gold) = (normalize_tree(pred), normalize_tree(gold));
+    normalized_match(db, &normalize_tree(pred), &normalize_tree(gold))
+}
+
+/// [`prediction_match`] on trees that are already normalized.
+fn normalized_match(db: &Database, pred: &VisQuery, gold: &VisQuery) -> (bool, bool) {
     if pred == gold {
         return (true, true);
     }
     let same_data = pred.chart == gold.chart
-        && matches!((execute(db, &pred), execute(db, &gold)), (Ok(a), Ok(b)) if a.data_eq(&b));
+        && matches!((execute(db, pred), execute(db, gold)), (Ok(a), Ok(b)) if a.data_eq(&b));
     (false, same_data)
 }
 
 /// Score one benchmark pair: predict, then tree-, component- and
-/// result-match against the gold tree.
+/// result-match against the gold tree. Each tree is normalized once.
 fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCase {
     let pair = &bench.pairs[pi];
     let vis = &bench.vis_objects[pair.vis_id];
@@ -105,7 +110,7 @@ fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCas
     let gold = normalize_tree(&vis.tree);
     let gold_comp = Components::of(&gold);
 
-    let predicted = pred.predict(&pair.nl, db);
+    let predicted = pred.predict(&pair.nl, db).map(|p| normalize_tree(&p));
     let mut case = EvalCase {
         pair_id: pair.pair_id,
         gold_chart: vis.chart,
@@ -118,8 +123,8 @@ fn score_pair(pred: &dyn Nl2VisPredictor, bench: &NvBench, pi: usize) -> EvalCas
         comp_present: gold_comp.present_either(&Components::default()),
     };
     if let Some(p) = predicted {
-        (case.tree_match, case.result_match) = prediction_match(db, &p, &vis.tree);
-        let pc = Components::of(&normalize_tree(&p));
+        (case.tree_match, case.result_match) = normalized_match(db, &p, &gold);
+        let pc = Components::of(&p);
         case.comp_match = pc.matches(&gold_comp);
         case.comp_present = pc.present_either(&gold_comp);
     }
@@ -136,37 +141,47 @@ pub fn evaluate(pred: &dyn Nl2VisPredictor, bench: &NvBench, pair_idx: &[usize])
     EvalReport { system: pred.name(), cases }
 }
 
-/// Top-k tree-matching accuracy (Table 5's DeepEye top-1/3/6/19 columns):
-/// a hit if any of the k predictions tree-matches. Pairs are scored on
-/// every available core; the per-hardness `(hits, total)` tallies are
-/// folded afterwards.
+/// Top-k tree-matching accuracy at every k of `ks` (Table 5's DeepEye
+/// top-1/3/6/19 columns), from one ranking per pair: each pair calls
+/// `predict_top_k` once, at the largest k, and is a hit at k when one of
+/// its first k predictions tree-matches. That reading relies on the prefix
+/// contract of [`Nl2VisPredictor::predict_top_k`]. Returns one
+/// per-hardness `(hits, total)` tally per entry of `ks`, in order. Pairs
+/// are scored on every available core.
+pub fn evaluate_top_ks(
+    pred: &dyn Nl2VisPredictor,
+    bench: &NvBench,
+    pair_idx: &[usize],
+    ks: &[usize],
+) -> Vec<BTreeMap<Hardness, (usize, usize)>> {
+    let _span = trace::span("seq2vis.eval");
+    let max_k = ks.iter().copied().max().unwrap_or(0);
+    // The rank of each pair's first tree match, if any.
+    let ranks = par::map_ordered(pair_idx, par::available_threads(), |&pi| {
+        let pair = &bench.pairs[pi];
+        let vis = &bench.vis_objects[pair.vis_id];
+        let db = bench.database(&vis.db_name).expect("db exists");
+        let gold = normalize_tree(&vis.tree);
+        let rank = pred
+            .predict_top_k(&pair.nl, db, max_k)
+            .iter()
+            .position(|t| normalize_tree(t) == gold);
+        (vis.hardness, rank)
+    });
+    ks.iter()
+        .map(|&k| tally(ranks.iter().map(|&(h, rank)| (h, rank.is_some_and(|r| r < k)))))
+        .collect()
+}
+
+/// [`evaluate_top_ks`] at one k: a hit if any of the k predictions
+/// tree-matches.
 pub fn evaluate_top_k(
     pred: &dyn Nl2VisPredictor,
     bench: &NvBench,
     pair_idx: &[usize],
     k: usize,
 ) -> BTreeMap<Hardness, (usize, usize)> {
-    let _span = trace::span("seq2vis.eval");
-    let scored = par::map_ordered(pair_idx, par::available_threads(), |&pi| {
-        let pair = &bench.pairs[pi];
-        let vis = &bench.vis_objects[pair.vis_id];
-        let db = bench.database(&vis.db_name).expect("db exists");
-        let gold = normalize_tree(&vis.tree);
-        let hit = pred
-            .predict_top_k(&pair.nl, db, k)
-            .iter()
-            .any(|t| normalize_tree(t) == gold);
-        (vis.hardness, hit)
-    });
-    let mut by_hard: BTreeMap<Hardness, (usize, usize)> = BTreeMap::new();
-    for (hardness, hit) in scored {
-        let e = by_hard.entry(hardness).or_insert((0, 0));
-        e.1 += 1;
-        if hit {
-            e.0 += 1;
-        }
-    }
-    by_hard
+    evaluate_top_ks(pred, bench, pair_idx, &[k]).remove(0)
 }
 
 impl EvalReport {
@@ -176,102 +191,47 @@ impl EvalReport {
 
     /// Acc_tree.
     pub fn tree_accuracy(&self) -> f64 {
-        ratio(self.cases.iter().filter(|c| c.tree_match).count(), self.n())
+        rate((self.cases.iter().filter(|c| c.tree_match).count(), self.n()))
     }
 
     /// Acc_res.
     pub fn result_accuracy(&self) -> f64 {
-        ratio(self.cases.iter().filter(|c| c.result_match).count(), self.n())
+        rate((self.cases.iter().filter(|c| c.result_match).count(), self.n()))
     }
 
     /// Tree accuracy by hardness (Figure 17(b) columns, Table 5 rows).
     pub fn by_hardness(&self) -> BTreeMap<Hardness, f64> {
-        let mut m: BTreeMap<Hardness, (usize, usize)> = BTreeMap::new();
-        for c in &self.cases {
-            let e = m.entry(c.hardness).or_insert((0, 0));
-            e.1 += 1;
-            if c.tree_match {
-                e.0 += 1;
-            }
-        }
-        m.into_iter().map(|(h, (a, b))| (h, ratio(a, b))).collect()
+        rates(&tally(self.cases.iter().map(|c| (c.hardness, c.tree_match))))
     }
 
     /// Tree accuracy by gold chart type.
     pub fn by_chart(&self) -> BTreeMap<ChartType, f64> {
-        let mut m: BTreeMap<ChartType, (usize, usize)> = BTreeMap::new();
-        for c in &self.cases {
-            let e = m.entry(c.gold_chart).or_insert((0, 0));
-            e.1 += 1;
-            if c.tree_match {
-                e.0 += 1;
-            }
-        }
-        m.into_iter().map(|(h, (a, b))| (h, ratio(a, b))).collect()
+        rates(&tally(self.cases.iter().map(|c| (c.gold_chart, c.tree_match))))
     }
 
     /// The full Figure-17 matrix: tree accuracy by (chart, hardness), with
     /// counts.
     pub fn matrix(&self) -> BTreeMap<(ChartType, Hardness), (usize, usize)> {
-        let mut m: BTreeMap<(ChartType, Hardness), (usize, usize)> = BTreeMap::new();
-        for c in &self.cases {
-            let e = m.entry((c.gold_chart, c.hardness)).or_insert((0, 0));
-            e.1 += 1;
-            if c.tree_match {
-                e.0 += 1;
-            }
-        }
-        m
+        tally(self.cases.iter().map(|c| ((c.gold_chart, c.hardness), c.tree_match)))
     }
 
     /// Table 4's "VIS" block: per gold chart type, how often the predicted
     /// chart type is right; plus the overall chart-type accuracy ("All").
     pub fn chart_type_accuracy(&self) -> (BTreeMap<ChartType, f64>, f64) {
-        let mut m: BTreeMap<ChartType, (usize, usize)> = BTreeMap::new();
-        let mut all = (0usize, 0usize);
-        for c in &self.cases {
-            let e = m.entry(c.gold_chart).or_insert((0, 0));
-            e.1 += 1;
-            all.1 += 1;
-            if c.pred_chart == Some(c.gold_chart) {
-                e.0 += 1;
-                all.0 += 1;
-            }
-        }
-        (
-            m.into_iter().map(|(h, (a, b))| (h, ratio(a, b))).collect(),
-            ratio(all.0, all.1),
-        )
+        let m =
+            tally(self.cases.iter().map(|c| (c.gold_chart, c.pred_chart == Some(c.gold_chart))));
+        (rates(&m), rate(overall(&m)))
     }
 
     /// Table 4's Axis/Data blocks: accuracy per component, over pairs where
     /// the component is present on either side.
     pub fn component_accuracy(&self) -> BTreeMap<&'static str, f64> {
-        let mut m = BTreeMap::new();
-        for (i, name) in nv_ast::components::COMPONENT_NAMES.iter().enumerate() {
-            let mut hit = 0;
-            let mut tot = 0;
-            for c in &self.cases {
-                if c.comp_present[i] {
-                    tot += 1;
-                    if c.comp_match[i] {
-                        hit += 1;
-                    }
-                }
-            }
-            if tot > 0 {
-                m.insert(*name, ratio(hit, tot));
-            }
-        }
-        m
-    }
-}
-
-fn ratio(a: usize, b: usize) -> f64 {
-    if b == 0 {
-        0.0
-    } else {
-        a as f64 / b as f64
+        use nv_ast::components::COMPONENT_NAMES;
+        rates(&tally(self.cases.iter().flat_map(|c| {
+            (0..COMPONENT_NAMES.len())
+                .filter(move |&i| c.comp_present[i])
+                .map(move |i| (COMPONENT_NAMES[i], c.comp_match[i]))
+        })))
     }
 }
 
@@ -298,7 +258,7 @@ pub fn value_fill_accuracy(bench: &NvBench, pair_idx: &[usize]) -> (f64, usize) 
             }
         }
     }
-    (ratio(hit, tot), tot)
+    (rate((hit, tot)), tot)
 }
 
 #[cfg(test)]
@@ -487,6 +447,62 @@ mod tests {
             .cases
             .iter()
             .any(|c| c.predicted && !c.tree_match && c.pred_chart == Some(c.gold_chart)));
+    }
+
+    /// Returns five trees per question with the gold tree at rank `i % 6`
+    /// of pair `i` (absent when that is 5) and chart-flipped decoys around
+    /// it, and counts its `predict_top_k` calls.
+    struct Ranked<'a> {
+        bench: &'a NvBench,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Nl2VisPredictor for Ranked<'_> {
+        fn name(&self) -> String {
+            "ranked".into()
+        }
+        fn predict(&self, nl: &str, db: &Database) -> Option<VisQuery> {
+            self.predict_top_k(nl, db, 1).pop()
+        }
+        fn predict_top_k(&self, nl: &str, _db: &Database, k: usize) -> Vec<VisQuery> {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let i = self.bench.pairs.iter().position(|p| p.nl == nl).unwrap();
+            let gold = &self.bench.vis_objects[self.bench.pairs[i].vis_id].tree;
+            let mut decoy = gold.clone();
+            decoy.chart = Some(match gold.chart.unwrap() {
+                ChartType::Bar => ChartType::Pie,
+                _ => ChartType::Bar,
+            });
+            (0..5).map(|r| if r == i % 6 { gold } else { &decoy }).take(k).cloned().collect()
+        }
+    }
+
+    /// The list form ranks each pair once, at the largest k, and its
+    /// per-k tallies equal one `evaluate_top_k` call per k.
+    #[test]
+    fn top_ks_rank_each_pair_once_and_match_per_k_scoring() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let b = bench();
+        let idx = unique_nl_idx(&b, 60);
+        let pred = Ranked { bench: &b, calls: 0.into() };
+        let ks = [0, 1, 3, 6];
+        let all = evaluate_top_ks(&pred, &b, &idx, &ks);
+        assert_eq!(pred.calls.load(Relaxed), idx.len(), "one ranking per pair");
+        assert_eq!(all.len(), ks.len());
+        for (&k, tallies) in ks.iter().zip(&all) {
+            pred.calls.store(0, Relaxed);
+            assert_eq!(*tallies, evaluate_top_k(&pred, &b, &idx, k), "k={k}");
+            assert_eq!(pred.calls.load(Relaxed), idx.len());
+            // NL is unique on `idx`, so pair `pi` ranks its gold at `pi % 6`.
+            let expected = tally(idx.iter().map(|&pi| {
+                (b.vis_objects[b.pairs[pi].vis_id].hardness, pi % 6 < k.min(5))
+            }));
+            assert_eq!(*tallies, expected, "k={k}");
+        }
+        // Hits grow with k, so every column reads its own prefix.
+        let hits: Vec<usize> = all.iter().map(|m| overall(m).0).collect();
+        assert!(hits.windows(2).all(|w| w[0] < w[1]), "{hits:?}");
+        assert!(evaluate_top_ks(&pred, &b, &idx, &[]).is_empty());
     }
 
     #[test]

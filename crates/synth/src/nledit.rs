@@ -31,18 +31,19 @@ pub struct NlResult {
     pub needs_manual_revision: bool,
 }
 
+/// Variants to produce per vis (paper averages 3.75 per vis).
+const VARIANTS_PER_VIS: std::ops::RangeInclusive<usize> = 3..=5;
+/// Smoother strength.
+const SMOOTHING: f64 = 0.45;
+
 /// The NL synthesizer. Seeded: same input ⇒ same variants.
 pub struct NlSynthesizer {
     rng: StdRng,
-    /// Variants to produce per vis (paper averages 3.75 per vis).
-    pub variants_per_vis: std::ops::RangeInclusive<usize>,
-    /// Smoother strength.
-    pub smoothing: f64,
 }
 
 impl NlSynthesizer {
     pub fn new(seed: u64) -> NlSynthesizer {
-        NlSynthesizer { rng: StdRng::seed_from_u64(seed), variants_per_vis: 3..=5, smoothing: 0.45 }
+        NlSynthesizer { rng: StdRng::seed_from_u64(seed) }
     }
 
     /// Produce NL variants for one filtered candidate.
@@ -61,15 +62,13 @@ impl NlSynthesizer {
             trim_terminal(original_nl)
         };
 
-        let n = self
-            .rng
-            .random_range(*self.variants_per_vis.start()..=*self.variants_per_vis.end());
+        let n = self.rng.random_range(VARIANTS_PER_VIS);
         let mut variants = Vec::with_capacity(n);
         let mut guard = 0;
         while variants.len() < n && guard < n * 6 {
             guard += 1;
             let raw = self.one_variant(&core, vis);
-            let smoothed = smooth(&mut self.rng, &raw, self.smoothing);
+            let smoothed = smooth(&mut self.rng, &raw, SMOOTHING);
             if !variants.contains(&smoothed) {
                 variants.push(smoothed);
             }

@@ -5,10 +5,12 @@
 //! cargo run --release --example benchmark_synthesis [n_databases]
 //! ```
 //!
-//! Also exports the benchmark to `nvbench_export.json` to show the
-//! serialization surface a downstream consumer would use.
+//! Also saves the benchmark in the release format (`nv_core::to_json`) to
+//! `nvbench_export.json`, loads it back with `from_json` — the surface a
+//! downstream consumer would use — and exits 1 unless the reloaded pairs
+//! and VQL strings equal the synthesized ones.
 
-use nvbench::core::{table3, type_hardness_matrix, CostModel, CostReport, DatasetStats};
+use nvbench::core::{from_json, table3, to_json, type_hardness_matrix, CostReport, DatasetStats};
 use nvbench::prelude::*;
 
 fn main() {
@@ -83,7 +85,7 @@ fn main() {
     }
 
     // Man-hour accounting (§3.3).
-    let cost = CostReport::of(&bench, CostModel::default());
+    let cost = CostReport::of(&bench);
     println!(
         "\nman-hours: {:.2} days with the synthesizer vs {:.1} days from scratch \
          ({:.1}% of the cost, {:.1}× speedup)",
@@ -93,30 +95,22 @@ fn main() {
         cost.speedup()
     );
 
-    // Export a JSON snapshot of the pair list (vis trees serialize too).
-    let export: Vec<serde_json::Value> = bench
-        .pairs
-        .iter()
-        .take(1000)
-        .map(|p| {
-            let vis = &bench.vis_objects[p.vis_id];
-            serde_json::json!({
-                "pair_id": p.pair_id,
-                "nl": p.nl,
-                "vql": vis.vql,
-                "chart": vis.chart.keyword(),
-                "hardness": vis.hardness.name(),
-                "db": vis.db_name,
-            })
-        })
-        .collect();
-    std::fs::write(
-        "nvbench_export.json",
-        serde_json::to_string_pretty(&export).expect("serializes"),
-    )
-    .expect("writes");
+    // Round-trip the release format through the file.
+    let path = "nvbench_export.json";
+    std::fs::write(path, to_json(&bench).expect("serializes")).expect("writes");
+    let json = std::fs::read_to_string(path).expect("reads back");
+    let reloaded = from_json(&json).unwrap_or_else(|e| {
+        eprintln!("could not reload {path}: {e}");
+        std::process::exit(1)
+    });
+    let vql = |b: &NvBench| b.vis_objects.iter().map(|v| v.vql.clone()).collect::<Vec<_>>();
+    if reloaded.pairs != bench.pairs || vql(&reloaded) != vql(&bench) {
+        eprintln!("{path} did not round-trip: pairs or VQL strings differ");
+        std::process::exit(1);
+    }
     println!(
-        "\nwrote {} pairs to nvbench_export.json",
-        export.len().min(1000)
+        "\nwrote {} pairs over {} vis objects to {path} and reloaded them unchanged",
+        reloaded.pairs.len(),
+        reloaded.vis_objects.len()
     );
 }

@@ -69,7 +69,7 @@ pub use nv_trace as trace;
 pub mod prelude {
     pub use nv_ast::{ChartType, Hardness, VisQuery};
     pub use nv_core::{
-        CorpusSynthesis, CostModel, CostReport, Nl2SqlToNl2Vis, Nl2VisPredictor, NvBench,
+        CorpusSynthesis, CostReport, Nl2SqlToNl2Vis, Nl2VisPredictor, NvBench,
         QuarantineEntry, Split, SynthesizerConfig,
     };
     pub use nv_data::{execute, ColumnType, Database, Table, Value};

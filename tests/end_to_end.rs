@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline from corpus
 //! generation through synthesis, rendering, filtering and evaluation.
 
-use nvbench::core::{table3, CostModel, CostReport, DatasetStats};
+use nvbench::core::{table3, CostReport, DatasetStats};
 use nvbench::prelude::*;
 use nvbench::quality::{ChartFeatures, DeepEyeFilter};
 
@@ -97,7 +97,7 @@ fn synthesis_statistics_match_paper_shapes() {
     assert!(stats.type_pct('C') > 45.0);
 
     // The synthesizer is much cheaper than from-scratch (paper: 5.7%).
-    let cost = CostReport::of(&bench, CostModel::default());
+    let cost = CostReport::of(&bench);
     assert!(cost.cost_ratio() < 0.35, "cost ratio {}", cost.cost_ratio());
     assert!(cost.speedup() > 3.0);
 }
@@ -170,5 +170,32 @@ fn covid_study_gold_queries_round_trip() {
         let cd = chart_data(&db, &case.gold).unwrap();
         let _ = to_vega_lite(&cd);
         let _ = to_echarts(&cd);
+    }
+}
+
+/// DeepEye keeps the `predict_top_k` prefix contract, so Table 5's one
+/// ranking per question, read at k = 1, 3, 6 and 19, equals ranking the
+/// question again at each k.
+#[test]
+fn deepeye_top_k_is_a_prefix_of_one_ranking() {
+    use nvbench::baselines::DeepEyeBaseline;
+    use nvbench::seq2vis::{evaluate_top_k, evaluate_top_ks};
+    let corpus = SpiderCorpus::generate(&CorpusConfig::small(106));
+    let bench = Nl2SqlToNl2Vis::new(SynthesizerConfig::default()).synthesize_corpus(&corpus).bench;
+    let deepeye = DeepEyeBaseline::new(42);
+    let idx: Vec<usize> = (0..bench.pairs.len()).collect();
+    let ks = [1, 3, 6, 19];
+    let once = evaluate_top_ks(&deepeye, &bench, &idx, &ks);
+    for (&k, tallies) in ks.iter().zip(&once) {
+        assert_eq!(*tallies, evaluate_top_k(&deepeye, &bench, &idx, k), "k={k}");
+    }
+    let hits: Vec<usize> = once.iter().map(|m| m.values().map(|(h, _)| h).sum()).collect();
+    assert!(hits[0] > 0 && hits[3] > hits[0], "hits per k: {hits:?}");
+    for pair in bench.pairs.iter().take(40) {
+        let db = bench.database(&bench.vis_objects[pair.vis_id].db_name).unwrap();
+        let all = deepeye.predict_top_k(&pair.nl, db, 19);
+        for k in [1, 3, 6] {
+            assert_eq!(deepeye.predict_top_k(&pair.nl, db, k)[..], all[..k.min(all.len())]);
+        }
     }
 }
