@@ -30,23 +30,21 @@ pub struct DatasetStats {
 
 impl DatasetStats {
     pub fn of(bench: &NvBench) -> DatasetStats {
-        let mut domain_tables: BTreeMap<String, usize> = BTreeMap::new();
         let mut cols_per_table = Vec::new();
         let mut rows_per_table = Vec::new();
-        let mut type_counts: BTreeMap<char, usize> = BTreeMap::new();
         let mut domains: std::collections::HashSet<&str> = Default::default();
         for db in &bench.databases {
             domains.insert(&db.domain);
-            *domain_tables.entry(db.domain.clone()).or_insert(0) += db.tables.len();
             for t in &db.tables {
                 cols_per_table.push(t.n_cols());
                 rows_per_table.push(t.n_rows());
-                for c in &t.schema.columns {
-                    *type_counts.entry(c.ctype.letter()).or_insert(0) += 1;
-                }
             }
         }
-        let mut domain_tables: Vec<(String, usize)> = domain_tables.into_iter().collect();
+        let tables = bench.databases.iter().flat_map(|db| &db.tables);
+        let type_counts = counts(tables.flat_map(|t| &t.schema.columns).map(|c| c.ctype.letter()));
+        let table_domains =
+            bench.databases.iter().flat_map(|db| db.tables.iter().map(|_| db.domain.clone()));
+        let mut domain_tables: Vec<(String, usize)> = counts(table_domains).into_iter().collect();
         domain_tables.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let n_tables = cols_per_table.len();
         let n_columns: usize = cols_per_table.iter().sum();
@@ -206,37 +204,33 @@ pub struct ColumnCensus {
 }
 
 pub fn column_census(bench: &NvBench) -> ColumnCensus {
-    let mut census = ColumnCensus::default();
-    for db in &bench.databases {
-        for t in &db.tables {
-            for (ci, col) in t.schema.columns.iter().enumerate() {
-                if col.ctype != ColumnType::Quantitative {
-                    continue;
-                }
-                let values: Vec<f64> = t
-                    .rows
-                    .iter()
-                    .filter_map(|r| r[ci].as_f64())
-                    .collect();
-                if values.len() < 5 {
-                    continue;
-                }
-                census.n_quant_columns += 1;
-                let fit = fit_best(&values);
-                let key = fit
-                    .best
-                    .map(|f: DistFamily| f.abbrev().to_string())
-                    .unwrap_or_else(|| "None".into());
-                *census.fits.entry(key).or_insert(0) += 1;
-                if let Some(s) = Summary::of(&values) {
-                    *census.skew.entry(s.skew_class()).or_insert(0) += 1;
-                }
-                let of = outlier_fraction(&values);
-                *census.outliers.entry(OutlierClass::of(of)).or_insert(0) += 1;
+    // One (fit, skew, outlier) class triple per quantitative column with
+    // at least 5 numeric values; each column's values live only while it
+    // is classified.
+    let mut classes = Vec::new();
+    for t in bench.databases.iter().flat_map(|db| &db.tables) {
+        for (ci, col) in t.schema.columns.iter().enumerate() {
+            if col.ctype != ColumnType::Quantitative {
+                continue;
             }
+            let values: Vec<f64> = t.rows.iter().filter_map(|r| r[ci].as_f64()).collect();
+            if values.len() < 5 {
+                continue;
+            }
+            let fit = fit_best(&values)
+                .best
+                .map(|f: DistFamily| f.abbrev().to_string())
+                .unwrap_or_else(|| "None".into());
+            let skew = Summary::of(&values).map(|s| s.skew_class());
+            classes.push((fit, skew, OutlierClass::of(outlier_fraction(&values))));
         }
     }
-    census
+    ColumnCensus {
+        fits: counts(classes.iter().map(|(fit, _, _)| fit.clone())),
+        skew: counts(classes.iter().filter_map(|(_, skew, _)| *skew)),
+        outliers: counts(classes.iter().map(|(_, _, outliers)| *outliers)),
+        n_quant_columns: classes.len(),
+    }
 }
 
 /// Labeled histogram buckets: `(label, count)` per bucket.

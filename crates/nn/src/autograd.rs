@@ -5,12 +5,15 @@
 //!
 //! A tape runs under a [`KernelPolicy`]:
 //!
-//! * **`Fast`** — the training path: the matvec kernels of `matrix.rs`,
-//!   fused ops (one affine node `w·x [+ w2·x2] [+ b]` behind
-//!   [`Tape::affine`], [`Tape::affine2`] and [`Tape::linear`], plus
-//!   [`Tape::lstm_gates`] and [`Tape::copy_scatter`]), weight gradients
-//!   accumulated straight into a dense [`GradSet`] as rank-1 updates
-//!   ([`Matrix::rank1_acc`], no per-op gradient matrices).
+//! * **`Fast`** — the training path: the kernels of `matrix.rs`, fused
+//!   ops (one affine node `w·x [+ w2·x2] [+ b]` behind [`Tape::affine`],
+//!   [`Tape::affine2`] and [`Tape::linear`], plus [`Tape::lstm_gates`] and
+//!   [`Tape::copy_scatter`]), weight gradients accumulated straight into a
+//!   dense [`GradSet`] as rank-1 updates ([`Matrix::rank1_acc`], no per-op
+//!   gradient matrices), and time-batched products: [`Tape::project`]
+//!   computes `w·x_t [+ b]` for a whole sequence as one stacked node,
+//!   which [`Tape::affine_onto`] and [`Tape::softmax_row`] read row by
+//!   row.
 //! * **`NaiveOracle`** — the differential twin, mirroring the pre-rewrite
 //!   implementation: reference (gather-loop) kernels and the unfused op
 //!   chain (explicit matmul/add/slice/sigmoid/... nodes). Kept callable
@@ -18,8 +21,10 @@
 //!   oracles of earlier PRs.
 //!
 //! Under either policy every node value and every gradient is a freshly
-//! allocated matrix, and a tape records exactly one sample: the caller
-//! builds a new [`Tape`] per sample and drops it after `backward`.
+//! allocated matrix — except a stacked product's gradient, which takes
+//! over the product's own value, read by nothing once forward is done —
+//! and a tape records exactly one sample: the caller builds a new [`Tape`]
+//! per sample, and `backward` consumes it.
 //!
 //! The contract: **both policies produce bit-identical losses and
 //! gradients.** The fused forward/backward replicate the unfused op
@@ -132,7 +137,8 @@ impl ParamStore {
     }
 
     /// One Adam update from `grads`; an untouched slot steps on a zero
-    /// gradient.
+    /// gradient. Each slot's update is one pass of zipped iterators, which
+    /// vectorizes (`sqrtps` and `divps` round like their scalar forms).
     pub fn adam_step(&mut self, grads: &GradSet, lr: f32) {
         const B1: f32 = 0.9;
         const B2: f32 = 0.999;
@@ -141,14 +147,19 @@ impl ParamStore {
         let bc1 = 1.0 - B1.powi(self.t as i32);
         let bc2 = 1.0 - B2.powi(self.t as i32);
         assert_eq!(grads.grads.len(), self.mats.len());
-        for (i, g) in grads.grads.iter().enumerate() {
-            for j in 0..self.mats[i].data.len() {
-                let grad = g.as_ref().map_or(0.0, |g| g.data[j]);
-                self.m[i].data[j] = B1 * self.m[i].data[j] + (1.0 - B1) * grad;
-                self.v[i].data[j] = B2 * self.v[i].data[j] + (1.0 - B2) * grad * grad;
-                let mhat = self.m[i].data[j] / bc1;
-                let vhat = self.v[i].data[j] / bc2;
-                self.mats[i].data[j] -= lr * mhat / (vhat.sqrt() + EPS);
+        let update = |p: &mut f32, m: &mut f32, v: &mut f32, grad: f32| {
+            *m = B1 * *m + (1.0 - B1) * grad;
+            *v = B2 * *v + (1.0 - B2) * grad * grad;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + EPS);
+        };
+        let slots = self.mats.iter_mut().zip(&mut self.m).zip(&mut self.v);
+        for (((p, m), v), g) in slots.zip(&grads.grads) {
+            let pmv = p.data.iter_mut().zip(&mut m.data).zip(&mut v.data);
+            match g {
+                Some(g) => pmv.zip(&g.data).for_each(|(((p, m), v), &g)| update(p, m, v, g)),
+                None => pmv.for_each(|((p, m), v)| update(p, m, v, 0.0)),
             }
         }
     }
@@ -163,6 +174,12 @@ impl Default for ParamStore {
 /// Handle to a tape node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct T(usize);
+
+/// Handle to a time-batched product from [`Tape::project`]: a stack of
+/// per-step columns, one per row, read only row by row
+/// ([`Tape::softmax_row`], [`Tape::affine_onto`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rows(T);
 
 enum Op {
     Param(usize),
@@ -179,16 +196,24 @@ enum Op {
     ConcatRows(Vec<T>),
     ConcatCols(Vec<T>),
     Softmax(T),
+    /// Softmax of row `row` of a stacked product (fast policy only).
+    SoftmaxRow { src: T, row: usize },
     /// `gate*a + (1-gate)*b`, gate is 1×1.
     Blend { gate: T, a: T, b: T },
     /// `-ln(probs[target])`, probs is v×1; output 1×1.
     Nll { probs: T, target: usize },
     Scale(T, f32),
     SumList(Vec<T>),
-    /// Fused `w·x [+ w2·x2] [+ b]` (fast policy only); params referenced
-    /// directly. With `w2x2` it is the packed `[i|f|g|o]` LSTM
-    /// pre-activation; without `b`, a plain projection.
-    Affine { w: usize, x: T, w2x2: Option<(usize, T)>, b: Option<usize> },
+    /// Fused `[pre_row +] w·x [+ w2·x2] [+ b]` (fast policy only); params
+    /// referenced directly. With `w2x2` it is the packed `[i|f|g|o]` LSTM
+    /// pre-activation; with `pre`, the same with its input product read
+    /// from row `row` of the stacked product `pre`; without `b`, a plain
+    /// projection.
+    Affine { pre: Option<(T, usize)>, w: usize, x: T, w2x2: Option<(usize, T)>, b: Option<usize> },
+    /// Time-batched `w·x_t [+ b]` for every input `xs[t]` (fast policy
+    /// only): value row `t` is step `t`'s product. `x` keeps the inputs
+    /// stacked as rows for the weight gradient.
+    Project { w: usize, xs: Vec<T>, x: Matrix, b: Option<usize> },
     /// Fused LSTM gate step (fast policy only): value is `[h'; c']`
     /// (2h×1); `aux` caches `[i, f, g, o, tanh(c')]` (5h×1) for backward.
     LstmGates { z: T, c_prev: T, aux: Matrix },
@@ -356,20 +381,20 @@ impl Tape {
         let v = {
             let av = self.value(store, a);
             assert_eq!(av.cols, 1);
-            let max = av.data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut out = Matrix::zeros(av.rows, 1);
-            let mut sum = 0.0f32;
-            for (o, &x) in out.data.iter_mut().zip(&av.data) {
-                let e = (x - max).exp();
-                *o = e;
-                sum += e;
-            }
-            for o in &mut out.data {
-                *o /= sum;
-            }
-            out
+            softmax(&av.data)
         };
         self.push(Some(v), Op::Softmax(a))
+    }
+
+    /// Softmax of row `row` of a stacked product, as a column, read in
+    /// place: the same values [`Tape::softmax`] gives for that step's
+    /// column.
+    pub fn softmax_row(&mut self, src: Rows, row: usize) -> T {
+        let v = {
+            let sv = self.values[src.0 .0].as_ref().expect("a stacked product has a value");
+            softmax(&sv.data[row * sv.cols..(row + 1) * sv.cols])
+        };
+        self.push(Some(v), Op::SoftmaxRow { src: src.0, row })
     }
 
     /// `gate*a + (1-gate)*b` with a 1×1 gate.
@@ -410,7 +435,7 @@ impl Tape {
     /// `w·x + b`. Fast: one fused node referencing the params directly.
     /// Naive: the pre-rewrite chain `add(matmul(param(w), x), param(b))`.
     pub fn affine(&mut self, store: &ParamStore, w: ParamId, x: T, b: ParamId) -> T {
-        self.fused_affine(store, w, x, None, Some(b))
+        self.fused_affine(store, None, w, x, None, Some(b))
     }
 
     /// `w1·x1 + w2·x2 + b` — the packed `[i|f|g|o]` LSTM pre-activation as
@@ -426,18 +451,69 @@ impl Tape {
         x2: T,
         b: ParamId,
     ) -> T {
-        self.fused_affine(store, w1, x1, Some((w2, x2)), Some(b))
+        self.fused_affine(store, None, w1, x1, Some((w2, x2)), Some(b))
+    }
+
+    /// `pre[row] + w·x + b` — [`Tape::affine2`] with its first product
+    /// already computed, as row `row` of the stacked product `pre` (fast
+    /// policy only). The row is the same `w1·x1` column, so the sum order,
+    /// and every bit, is `affine2`'s.
+    pub fn affine_onto(
+        &mut self,
+        store: &ParamStore,
+        pre: Rows,
+        row: usize,
+        w: ParamId,
+        x: T,
+        b: ParamId,
+    ) -> T {
+        self.fused_affine(store, Some((pre, row)), w, x, None, Some(b))
+    }
+
+    /// The time-batched product `w·x_t [+ b]` of every input `xs[t]`, as
+    /// one node whose row `t` is step `t`'s column (fast policy only). Row
+    /// `t` holds the bits [`Tape::affine`] or [`Tape::linear`] gives for
+    /// `xs[t]`: a stacked `matmul_nt`, then the bias. Backward takes its
+    /// weight gradient as one [`Matrix::rank_acc`] over the steps, last
+    /// first, as the per-step nodes' backward visits them, its input
+    /// gradients as one stacked `matmul`, and adds the bias gradient step
+    /// by step in the same order; every row must receive a gradient.
+    pub fn project(
+        &mut self,
+        store: &ParamStore,
+        w: ParamId,
+        xs: &[T],
+        b: Option<ParamId>,
+    ) -> Rows {
+        assert!(!self.naive, "the naive oracle records per-step products");
+        let wm = store.get(w);
+        let k = wm.cols;
+        let mut x = Matrix::zeros(xs.len(), k);
+        for (t, &xt) in xs.iter().enumerate() {
+            x.data[t * k..(t + 1) * k].copy_from_slice(&self.value(store, xt).data);
+        }
+        let mut z = x.matmul_nt(wm);
+        if let Some(b) = b {
+            for row in z.data.chunks_exact_mut(wm.rows) {
+                for (o, &bv) in row.iter_mut().zip(&store.mats[b.0].data) {
+                    *o += bv;
+                }
+            }
+        }
+        let op = Op::Project { w: w.0, xs: xs.to_vec(), x, b: b.map(|b| b.0) };
+        Rows(self.push(Some(z), op))
     }
 
     /// `w·x` with no bias (bridge / attention-query / copy-gate
     /// projections).
     pub fn linear(&mut self, store: &ParamStore, w: ParamId, x: T) -> T {
-        self.fused_affine(store, w, x, None, None)
+        self.fused_affine(store, None, w, x, None, None)
     }
 
-    /// The one fused affine op behind `affine`, `affine2` and `linear`:
-    /// `w·x [+ w2·x2] [+ b]`. Fast: one node referencing the params
-    /// directly — `w·x`, then `w2·x2` accumulated onto it, then the bias.
+    /// The one fused affine op behind `affine`, `affine2`, `affine_onto`
+    /// and `linear`: `[pre_row +] w·x [+ w2·x2] [+ b]`. Fast: one node
+    /// referencing the params directly — `w·x` (or the row `pre_row` with
+    /// `w·x` accumulated onto it), then `w2·x2` accumulated, then the bias.
     /// Naive: the pre-rewrite chain `add(add(matmul(param(w), x),
     /// matmul(param(w2), x2)), param(b))`, its `Param` nodes pushed first.
     /// Bit-identical because each element sums its terms in the same order
@@ -445,12 +521,14 @@ impl Tape {
     fn fused_affine(
         &mut self,
         store: &ParamStore,
+        pre: Option<(Rows, usize)>,
         w: ParamId,
         x: T,
         w2x2: Option<(ParamId, T)>,
         b: Option<ParamId>,
     ) -> T {
         if self.naive {
+            assert!(pre.is_none(), "the naive oracle records per-step products");
             let wp = self.param(w);
             let w2p = w2x2.map(|(w2, x2)| (self.param(w2), x2));
             let bp = b.map(|b| self.param(b));
@@ -466,7 +544,15 @@ impl Tape {
         }
         let out = {
             let wm = &store.mats[w.0];
-            let mut out = wm.matmul(self.value(store, x));
+            let mut out = match pre {
+                Some((Rows(p), row)) => {
+                    let pv = self.values[p.0].as_ref().expect("a stacked product has a value");
+                    let mut out = Matrix::col(pv.data[row * pv.cols..(row + 1) * pv.cols].to_vec());
+                    wm.matvec_acc(self.value(store, x), &mut out);
+                    out
+                }
+                None => wm.matmul(self.value(store, x)),
+            };
             if let Some((w2, x2)) = w2x2 {
                 store.mats[w2.0].matvec_acc(self.value(store, x2), &mut out);
             }
@@ -477,8 +563,8 @@ impl Tape {
             }
             out
         };
-        let w2x2 = w2x2.map(|(w2, x2)| (w2.0, x2));
-        self.push(Some(out), Op::Affine { w: w.0, x, w2x2, b: b.map(|b| b.0) })
+        let (pre, w2x2) = (pre.map(|(p, row)| (p.0, row)), w2x2.map(|(w2, x2)| (w2.0, x2)));
+        self.push(Some(out), Op::Affine { pre, w: w.0, x, w2x2, b: b.map(|b| b.0) })
     }
 
     /// One LSTM gate step from the packed pre-activation `z` (4h×1) and the
@@ -557,13 +643,15 @@ impl Tape {
         self.push(Some(out), Op::CopyScatter { attn, rows: rows.to_vec() })
     }
 
-    /// Reverse pass from a scalar loss node. Returns the parameter
-    /// gradients as a dense [`GradSet`] (caller merges/folds them).
-    pub fn backward(&self, store: &ParamStore, loss: T) -> GradSet {
+    /// Reverse pass from a scalar loss node, consuming the tape. Returns
+    /// the parameter gradients as a dense [`GradSet`] (caller
+    /// merges/folds them).
+    pub fn backward(mut self, store: &ParamStore, loss: T) -> GradSet {
         let n = self.values.len();
         nv_trace::count("nn.tape.nodes", n as u64);
         let mut gs = GradSet::for_store(store);
         let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
+        let mut rows_seen = RowsSeen::default();
         {
             let lv = self.value(store, loss);
             assert_eq!((lv.rows, lv.cols), (1, 1), "loss must be scalar");
@@ -660,11 +748,13 @@ impl Tape {
                     }
                 }
                 Op::Softmax(a) => {
-                    let a = *a;
                     let y = self.values[i].as_ref().unwrap();
-                    let dot: f32 = g.data.iter().zip(&y.data).map(|(x, s)| x * s).sum();
-                    let da = y.data.iter().zip(&g.data).map(|(s, x)| s * (x - dot)).collect();
-                    acc(&mut grads, a, Matrix::col(da));
+                    acc(&mut grads, *a, Matrix::col(softmax_grad(&y.data, &g.data).collect()));
+                }
+                Op::SoftmaxRow { src, row } => {
+                    let y = self.values[i].take().unwrap();
+                    let dz = softmax_grad(&y.data, &g.data);
+                    rows_seen.acc(&mut self.values, &mut grads, *src, *row, dz);
                 }
                 Op::Blend { gate, a, b } => {
                     let (gate, a, b) = (*gate, *a, *b);
@@ -709,7 +799,7 @@ impl Tape {
                 // matmul_nt + Param-node chain performs, without the
                 // intermediate weight-sized matrices. Per term: weight
                 // gradient, then input gradient; the bias after the terms.
-                Op::Affine { w, x, w2x2, b } => {
+                Op::Affine { pre, w, x, w2x2, b } => {
                     for (w, x) in std::iter::once((*w, *x)).chain(*w2x2) {
                         entry(&mut gs, store, w).rank1_acc(&g, self.value(store, x));
                         let dx = self.k_matmul_tn(&store.mats[w], &g);
@@ -717,6 +807,33 @@ impl Tape {
                     }
                     if let Some(b) = *b {
                         entry(&mut gs, store, b).add_assign(&g);
+                    }
+                    if let Some((p, row)) = *pre {
+                        rows_seen.acc(&mut self.values, &mut grads, p, row, g.data.iter().copied());
+                    }
+                }
+                // The per-step affine arm above, once for all steps: row
+                // `t` of `g` is step `t`'s output gradient. The weight
+                // gradient adds its terms last step first, the order the
+                // per-step nodes are visited in; each input gradient is
+                // its step's `Wᵀ·g_t`; the bias adds `g_t` in the same
+                // step order.
+                Op::Project { w, xs, x, b } => {
+                    rows_seen.assert_all(i, g.rows);
+                    let wm = &store.mats[*w];
+                    entry(&mut gs, store, *w).rank_acc(&g, x);
+                    let dx = g.matmul(wm);
+                    for (t, &xt) in xs.iter().enumerate().rev() {
+                        let dxt = dx.data[t * dx.cols..(t + 1) * dx.cols].to_vec();
+                        acc(&mut grads, xt, Matrix::col(dxt));
+                    }
+                    if let Some(b) = *b {
+                        let e = entry(&mut gs, store, b);
+                        for gt in g.data.chunks_exact(g.cols).rev() {
+                            for (e, &gv) in e.data.iter_mut().zip(gt) {
+                                *e += gv;
+                            }
+                        }
                     }
                 }
                 // Mirrors the unfused chain's float expressions and
@@ -788,6 +905,77 @@ fn acc(grads: &mut [Option<Matrix>], t: T, g: Matrix) {
     match &mut grads[t.0] {
         Some(existing) => existing.add_assign(&g),
         slot => *slot = Some(g),
+    }
+}
+
+/// The softmax of `x` as a column: `exp(x − max)`, normalized by the
+/// in-order sum.
+fn softmax(x: &[f32]) -> Matrix {
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut out = Matrix::zeros(x.len(), 1);
+    let mut sum = 0.0f32;
+    for (o, &x) in out.data.iter_mut().zip(x) {
+        let e = (x - max).exp();
+        *o = e;
+        sum += e;
+    }
+    for o in &mut out.data {
+        *o /= sum;
+    }
+    out
+}
+
+/// Softmax backward: `y ⊙ (g − ⟨g, y⟩)` for the softmax output `y` and
+/// its gradient `g`.
+fn softmax_grad<'a>(y: &'a [f32], g: &'a [f32]) -> impl Iterator<Item = f32> + 'a {
+    let dot: f32 = g.iter().zip(y).map(|(x, s)| x * s).sum();
+    y.iter().zip(g).map(move |(s, x)| s * (x - dot))
+}
+
+/// The rows of stacked products that have received a gradient so far in
+/// one backward pass, per stacked node.
+#[derive(Default)]
+struct RowsSeen(Vec<(usize, Vec<bool>)>);
+
+impl RowsSeen {
+    /// [`acc`] for row `row` of the stacked node `src`: the row's first
+    /// gradient is moved in, later ones are added. The gradient's buffer
+    /// is `src`'s own value, taken over on the first row written — only
+    /// its row readers' forward reads a stacked value, so backward never
+    /// needs it again.
+    fn acc(
+        &mut self,
+        values: &mut [Option<Matrix>],
+        grads: &mut [Option<Matrix>],
+        src: T,
+        row: usize,
+        g: impl Iterator<Item = f32>,
+    ) {
+        let buf = grads[src.0].get_or_insert_with(|| {
+            values[src.0].take().expect("a stacked product's value is taken once")
+        });
+        let seen = match self.0.iter().position(|(node, _)| *node == src.0) {
+            Some(p) => &mut self.0[p].1,
+            None => {
+                self.0.push((src.0, vec![false; buf.rows]));
+                &mut self.0.last_mut().expect("just pushed").1
+            }
+        };
+        let dst = &mut buf.data[row * buf.cols..(row + 1) * buf.cols];
+        if std::mem::replace(&mut seen[row], true) {
+            dst.iter_mut().zip(g).for_each(|(d, g)| *d += g);
+        } else {
+            dst.iter_mut().zip(g).for_each(|(d, g)| *d = g);
+        }
+    }
+
+    /// Panic unless every one of the `rows` rows of stacked node `node`
+    /// received a gradient: a row left out would read as a zero step that
+    /// the per-step graph never visits.
+    fn assert_all(&self, node: usize, rows: usize) {
+        let flags = self.0.iter().find(|(n, _)| *n == node).map(|(_, s)| s);
+        let seen = flags.map_or(0, |s| s.iter().filter(|&&s| s).count());
+        assert_eq!(seen, rows, "every row of a stacked product must receive a gradient");
     }
 }
 

@@ -1,113 +1,138 @@
 //! A dense f32 matrix — the storage type of the neural substrate — with
-//! matvec and outer-product kernels sized for seq2seq-scale models.
+//! matvec, stacked-product and outer-product kernels sized for
+//! seq2seq-scale models.
 //!
 //! ## The fixed reduction order
 //!
 //! Every kernel reduces along the shared dimension in [`dot`]'s order: a
 //! 4-lane split accumulation (element `4c + j` of the full chunks of 4 goes
 //! to lane `j`, multiply then add, no FMA), lanes summed `((0+1)+2)+3`, then
-//! a sequential tail. This is the crate's **canonical reduction order**,
-//! and it lives in one function, `dot_rows`, of which [`dot`] is the
-//! one-row case. The fast kernels change *memory access* — four rows at a
-//! time, row-streamed lanes — but never the per-element summation order, so
-//! they are **bit-identical** to the straightforward reference kernels in
+//! a sequential tail. This is the crate's **canonical reduction order**.
+//! The fast kernels change *memory access* — register tiles, row-streamed
+//! lanes — but never the per-element summation order, so they are
+//! **bit-identical** to the straightforward reference kernels in
 //! [`reference`](mod@reference), which reduce with the same `dot` over
-//! explicitly gathered rows. `tests/train_determinism.rs` holds whole
+//! explicitly gathered rows. Weight gradients are not reductions in `dot`'s
+//! order but sums of outer products, one term at a time in a given order
+//! ([`Matrix::rank_acc`]). `tests/train_determinism.rs` holds whole
 //! training runs to this equality, and the unit tests below hold every
 //! kernel to it shape-by-shape, bit for bit.
 //!
 //! rustc does not vectorize the four lanes on its own at the default
 //! x86-64 target (it emits one scalar `mulss`/`addss` per lane), so on
-//! x86-64 the lanes are one SSE2 vector per row, written with
-//! `std::arch`. SSE2 is part of the x86-64 baseline, so this needs no
-//! runtime detection and no `target-cpu` flag; other targets run the same
-//! lanes as a scalar loop.
+//! x86-64 the tiles are SSE2 vectors, written with `std::arch`. SSE2 is
+//! part of the x86-64 baseline, so this needs no runtime detection and no
+//! `target-cpu` flag; other targets run the same tiles as scalar loops.
 //!
-//! ## Kernel shapes that matter
+//! ## One kernel per product
 //!
-//! Every model op is a matvec, a transposed matvec or an outer product
-//! (column-vector activations), and each has exactly one fast kernel:
+//! The model's products come one vector at a time (a decoding step, the
+//! recurrent `W_hh·h`, attention) or as a stack of vectors, one per
+//! timestep (the time-batched projections of `seq2seq.rs`). A stack is
+//! kept as the rows of a matrix, so every vector is contiguous and a
+//! product over `T` steps is one call. Each product has one kernel:
 //!
 //! * `W·x` (`matmul` with one column, and `matvec_acc`) reduces four
-//!   weight rows at a time (`dot_rows::<4>`: four independent lane
-//!   vectors, each in [`dot`]'s exact order, sharing each load of `x`).
-//! * `Wᵀ·g` (`matmul_tn` with one column, backward's input gradient)
-//!   streams `W` row by row: each output keeps [`dot`]'s four lanes as
+//!   weight rows at a time (`matvec_rows`, `dot_rows::<4, 1>`: four
+//!   independent lane vectors, each in [`dot`]'s exact order, sharing
+//!   each load of `x`).
+//! * The stacked forward `Xᵀ·Wᵀ` (`matmul_nt` with a shared dimension
+//!   above 1) is `dots_nt`: `out[t][i] = dot(x_t, w_i)`, a tile of four
+//!   rows of `W` against two stacked vectors (`dot_rows::<4, 2>`: eight
+//!   lane vectors), so each load of `W` serves two steps and each load of
+//!   `x` four rows. Blocks of `W` are the outer loop, so a stacked call
+//!   streams `W` from memory once, not once per step.
+//! * The stacked input gradients `Gᵀ·W` (`matmul` with more than one
+//!   column) are `dots_tn`: `out[t][j] = dot(g_t, w[:, j])`, walking down
+//!   the rows of `W` with a tile of four columns against two stacked
+//!   gradients, each output's four lanes in separate register vectors.
+//! * A single `Wᵀ·g` (`matmul_tn` with one column) streams `W` row by row
+//!   (`matvec_tn_rows`): each output keeps [`dot`]'s four lanes as
 //!   separate accumulator vectors, so the inner loop runs along a
 //!   contiguous row while each output still sees `dot`'s exact summation
 //!   order. Lanes 1–3 live in a thread-local scratch, so it never
 //!   allocates per call.
-//! * `g·xᵀ` (`matmul_nt` with a shared dimension of 1, and
-//!   [`Matrix::rank1_acc`], the weight-gradient update) is one
-//!   `out[i][j] += g[i]·x[j]` loop.
+//! * Weight gradients are sums of outer products: one step's `g·xᵀ`
+//!   ([`Matrix::rank1_acc`], and `matmul_nt`'s shared-dimension-1 case
+//!   onto zeros) is one `out[i][j] += g[i]·x[j]` loop (`outer_acc`); the
+//!   `T` steps of a stack ([`Matrix::rank_acc`]) are `rank_acc`, which
+//!   keeps a tile of four rows by eight columns of `out` in registers for
+//!   every term, so the gradient is read and written once per call.
 //!
-//! No model op multiplies by a matrix of more than one column, so every
-//! other shape returns the [`reference`](mod@reference) kernel's result.
-//! Every product returns a freshly allocated matrix.
+//! `matmul_tn` with more than one column is no model product; it returns
+//! the [`reference`](mod@reference) kernel's result. Every product
+//! returns a freshly allocated matrix.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::RefCell;
 
 /// Dot product in the canonical fixed reduction order (4 lanes over chunks
-/// of 4, lanes summed in index order, sequential tail): the one-row case of
-/// `dot_rows`.
+/// of 4, lanes summed in index order, sequential tail): the one-row,
+/// one-vector case of `dot_rows`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length");
-    dot_rows::<1>(a, b)[0]
+    dot_rows::<1, 1>(a, b)[0][0]
 }
 
-/// `N` [`dot`]s at once: entry `r` is row `r` of the `N` contiguous
-/// length-`k` rows in `rows` (`k = x.len()`) against the shared column `x`.
-/// Each row gets its own four lane accumulators over the full chunks of 4
-/// (`lane_sums`), which are summed `((0+1)+2)+3`; the `k % 4` tail elements
-/// are then added in order. With `N = 4` the four rows' accumulator chains
-/// are independent, so the adds of one row no longer wait on the adds
-/// before them, and each chunk of `x` is loaded once for four rows.
+/// `N × M` [`dot`]s at once: entry `[q][r]` is row `r` of the `N`
+/// contiguous length-`k` rows in `rows` against row `q` of the `M`
+/// contiguous length-`k` vectors in `xs` (`k = xs.len() / M`). Each pair
+/// gets its own four lane accumulators over the full chunks of 4
+/// (`lane_sums`), which are summed `((0+1)+2)+3`; the `k % 4` tail
+/// elements are then added in order. The `N·M` accumulator chains are
+/// independent, so the adds of one output never wait on another's, and
+/// each chunk load serves `M` vectors (a row) or `N` rows (a vector).
 #[inline(always)]
-fn dot_rows<const N: usize>(rows: &[f32], x: &[f32]) -> [f32; N] {
-    let k = x.len();
-    let mut s = lane_sums::<N>(rows, x).map(|l| l[0] + l[1] + l[2] + l[3]);
+fn dot_rows<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[f32; N]; M] {
+    let k = xs.len() / M;
+    let mut s = lane_sums::<N, M>(rows, xs).map(|q| q.map(|l| l[0] + l[1] + l[2] + l[3]));
     for i in k / 4 * 4..k {
-        for (r, s) in s.iter_mut().enumerate() {
-            *s += rows[r * k + i] * x[i];
+        for (q, s) in s.iter_mut().enumerate() {
+            for (r, s) in s.iter_mut().enumerate() {
+                *s += rows[r * k + i] * xs[q * k + i];
+            }
         }
     }
     s
 }
 
-/// The lane accumulators of `dot_rows`: for each of the `N` rows, lane `j`
-/// is `Σ_c row[4c + j]·x[4c + j]` over the full chunks `c`, accumulated
-/// in chunk order from `0.0`. Each row's four lanes are one SSE2 vector,
-/// updated by one `mulps` and one `addps` per chunk — per lane the same
-/// multiply-then-add as the scalar `lane[j] += row[4c + j] * x[4c + j]`,
-/// so the bits match it.
+/// The lane accumulators of `dot_rows`: for each of the `M` vectors and
+/// `N` rows, lane `j` is `Σ_c row[4c + j]·x[4c + j]` over the full chunks
+/// `c`, accumulated in chunk order from `0.0`. Each pair's four lanes are
+/// one SSE2 vector, updated by one `mulps` and one `addps` per chunk — per
+/// lane the same multiply-then-add as the scalar
+/// `lane[j] += row[4c + j] * x[4c + j]`, so the bits match it.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
+fn lane_sums<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[[f32; 4]; N]; M] {
     use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
-    let k = x.len();
-    assert_eq!(rows.len(), N * k, "dot_rows: {N} rows of {k}");
-    let mut out = [[0.0f32; 4]; N];
+    let k = xs.len() / M;
+    assert!(rows.len() == N * k && xs.len() == M * k, "dot_rows: {N} rows, {M} vectors of {k}");
+    let mut out = [[[0.0f32; 4]; N]; M];
     // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
     // on every x86-64 CPU. With `c < k / 4`, each load reads the four
-    // floats `[4c, 4c + 4)` of `x`, inside `x` since `4c + 4 <= k`, or
-    // `[r·k + 4c, r·k + 4c + 4)` of `rows` with `r < N`, which ends at or
-    // before `r·k + k <= N·k = rows.len()` (asserted above). `loadu` and
-    // `storeu` need no alignment, and each store writes one whole
-    // `[f32; 4]`.
+    // floats `[q·k + 4c, q·k + 4c + 4)` of `xs` with `q < M`, or
+    // `[r·k + 4c, r·k + 4c + 4)` of `rows` with `r < N`; both end at or
+    // before `q·k + k <= M·k = xs.len()` and `r·k + k <= N·k = rows.len()`
+    // (asserted above). `loadu` and `storeu` need no alignment, and each
+    // store writes one whole `[f32; 4]`.
     unsafe {
-        let mut acc = [_mm_setzero_ps(); N];
+        let mut acc = [[_mm_setzero_ps(); N]; M];
         for c in 0..k / 4 {
-            let xv = _mm_loadu_ps(x.as_ptr().add(4 * c));
-            for (r, acc) in acc.iter_mut().enumerate() {
+            let xv: [_; M] = std::array::from_fn(|q| _mm_loadu_ps(xs.as_ptr().add(q * k + 4 * c)));
+            for r in 0..N {
                 let rv = _mm_loadu_ps(rows.as_ptr().add(r * k + 4 * c));
-                *acc = _mm_add_ps(*acc, _mm_mul_ps(rv, xv));
+                for (acc, &xv) in acc.iter_mut().zip(&xv) {
+                    acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(rv, xv));
+                }
             }
         }
-        for (o, acc) in out.iter_mut().zip(acc) {
-            _mm_storeu_ps(o.as_mut_ptr(), acc);
+        for (out, acc) in out.iter_mut().zip(acc) {
+            for (o, acc) in out.iter_mut().zip(acc) {
+                _mm_storeu_ps(o.as_mut_ptr(), acc);
+            }
         }
     }
     out
@@ -117,17 +142,19 @@ fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
 /// without the x86-64 SSE2 baseline.
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
-fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
-    let k = x.len();
-    assert_eq!(rows.len(), N * k, "dot_rows: {N} rows of {k}");
-    let mut acc = [[0.0f32; 4]; N];
-    for (c, xv) in x.chunks_exact(4).enumerate() {
-        for (r, acc) in acc.iter_mut().enumerate() {
-            let rv = &rows[r * k + 4 * c..][..4];
-            acc[0] += rv[0] * xv[0];
-            acc[1] += rv[1] * xv[1];
-            acc[2] += rv[2] * xv[2];
-            acc[3] += rv[3] * xv[3];
+fn lane_sums<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[[f32; 4]; N]; M] {
+    let k = xs.len() / M;
+    assert!(rows.len() == N * k && xs.len() == M * k, "dot_rows: {N} rows, {M} vectors of {k}");
+    let mut acc = [[[0.0f32; 4]; N]; M];
+    for c in 0..k / 4 {
+        for (q, acc) in acc.iter_mut().enumerate() {
+            let xv = &xs[q * k + 4 * c..][..4];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let rv = &rows[r * k + 4 * c..][..4];
+                for ((lane, &rv), &xv) in acc.iter_mut().zip(rv).zip(xv) {
+                    *lane += rv * xv;
+                }
+            }
         }
     }
     acc
@@ -136,20 +163,304 @@ fn lane_sums<const N: usize>(rows: &[f32], x: &[f32]) -> [[f32; 4]; N] {
 /// The matvec sweep shared by [`Matrix::matmul`] and
 /// [`Matrix::matvec_acc`]: `emit(&mut out[i], dot(w_row_i, x))` for every
 /// row of the row-major `w` (row length `x.len()`). Full blocks of four
-/// rows go through `dot_rows::<4>`; the `rows % 4` remainder rows call
+/// rows go through `dot_rows::<4, 1>`; the `rows % 4` remainder rows call
 /// [`dot`].
 #[inline]
 fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f32)) {
     let k = x.len();
     let full = out.len() / 4 * 4;
     for (i, o) in out[..full].chunks_exact_mut(4).enumerate() {
-        let d = dot_rows::<4>(&w[4 * i * k..4 * (i + 1) * k], x);
+        let [d] = dot_rows::<4, 1>(&w[4 * i * k..4 * (i + 1) * k], x);
         for (o, d) in o.iter_mut().zip(d) {
             emit(o, d);
         }
     }
     for (i, o) in out.iter_mut().enumerate().skip(full) {
         emit(o, dot(&w[i * k..(i + 1) * k], x));
+    }
+}
+
+/// `out[t·nb + i] = dot(a_t, b_i)` for every row `a_t` of `a`
+/// and every one of the `nb` rows `b_i` of `b`, all of length `k`
+/// (`out.len() / nb` rows in `a`). Blocks of four `b` rows against pairs
+/// of `a` rows go through `dot_rows::<4, 2>`; an odd last `a` row and the
+/// `nb % 4` remainder rows take the narrower tiles.
+fn dots_nt(a: &[f32], b: &[f32], k: usize, nb: usize, out: &mut [f32]) {
+    if nb == 0 {
+        return;
+    }
+    let na = out.len() / nb;
+    assert!(a.len() == na * k && b.len() == nb * k && out.len() == na * nb, "dots_nt shape");
+    let mut put = |t: usize, i: usize, n: usize, d: &[f32]| {
+        for (q, d) in d.chunks_exact(n).enumerate() {
+            out[(t + q) * nb + i..][..n].copy_from_slice(d);
+        }
+    };
+    let (na2, nb4) = (na / 2 * 2, nb / 4 * 4);
+    let row = |t: usize, rows: usize| &a[t * k..(t + rows) * k];
+    for i in (0..nb4).step_by(4) {
+        let bi = &b[i * k..(i + 4) * k];
+        for t in (0..na2).step_by(2) {
+            put(t, i, 4, dot_rows::<4, 2>(bi, row(t, 2)).as_flattened());
+        }
+        if na2 < na {
+            put(na2, i, 4, dot_rows::<4, 1>(bi, row(na2, 1)).as_flattened());
+        }
+    }
+    for i in nb4..nb {
+        let bi = &b[i * k..(i + 1) * k];
+        for t in (0..na2).step_by(2) {
+            put(t, i, 1, dot_rows::<1, 2>(bi, row(t, 2)).as_flattened());
+        }
+        if na2 < na {
+            put(na2, i, 1, dot_rows::<1, 1>(bi, row(na2, 1)).as_flattened());
+        }
+    }
+}
+
+/// `out[t·k + j] = dot(a_t, b[:, j])` for every row `a_t` of `a` and every
+/// column `j` of the row-major `b` (`m × k`, `out.len() / k` rows in `a`,
+/// each of length `m`): the transposed product, streaming `b` row by row
+/// without transposing it. Four columns of `b` against pairs of `a` rows
+/// go through `col_dots::<2>`; an odd last `a` row takes `col_dots::<1>`,
+/// and the `k % 4` tail columns the scalar `col_dots_tail`.
+fn dots_tn(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
+    if k == 0 {
+        return;
+    }
+    let (na, m) = (out.len() / k, b.len() / k);
+    assert!(a.len() == na * m && b.len() == m * k && out.len() == na * k, "dots_tn shape");
+    let mut put = |t: usize, j: usize, w: usize, d: &[[f32; 4]]| {
+        for (q, d) in d.iter().enumerate() {
+            out[(t + q) * k + j..][..w].copy_from_slice(&d[..w]);
+        }
+    };
+    let (na2, k4) = (na / 2 * 2, k / 4 * 4);
+    let row = |t: usize, rows: usize| &a[t * m..(t + rows) * m];
+    for j in (0..k4).step_by(4) {
+        for t in (0..na2).step_by(2) {
+            put(t, j, 4, &col_dots::<2>(row(t, 2), b, k, j));
+        }
+        if na2 < na {
+            put(na2, j, 4, &col_dots::<1>(row(na2, 1), b, k, j));
+        }
+    }
+    if k4 < k {
+        for t in 0..na {
+            put(t, k4, k - k4, &[col_dots_tail(row(t, 1), b, k, k4)]);
+        }
+    }
+}
+
+/// `[q][c] = dot(a_q, b[:, j + c])` for the `M` rows `a_q` of `a` (each of
+/// length `m = a.len() / M`) and the four columns from `j` of the
+/// row-major `b` (`m × k`). Lane `l` of an output gathers rows `4c + l` of
+/// the full chunks, as in [`dot`]; each (row of `a`, lane) pair is one
+/// SSE2 vector over the four columns, updated by one `mulps` and one
+/// `addps` per row of `b`, and the lanes are summed `((0+1)+2)+3` before
+/// the `m % 4` tail rows are added in order. Per column that is exactly
+/// `dot`'s sequence of operations, so the bits match it.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn col_dots<const M: usize>(a: &[f32], b: &[f32], k: usize, j: usize) -> [[f32; 4]; M] {
+    use std::arch::x86_64::{
+        __m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+    };
+    let m = a.len() / M;
+    assert!(a.len() == M * m && b.len() == m * k && j + 4 <= k, "col_dots shape");
+    let full = m / 4 * 4;
+    let mut out = [[0.0f32; 4]; M];
+    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
+    // on every x86-64 CPU. Each load from `b` reads the four floats
+    // `[r·k + j, r·k + j + 4)` with `r < m`; since `j + 4 <= k` it ends at
+    // or before `r·k + k <= m·k = b.len()`. Each load from `a` reads
+    // `[q·m + c, q·m + c + 4)` with `q < M` and `c + 4 <= full <= m`, so it
+    // ends at or before `M·m = a.len()` (both asserted above). `loadu` and
+    // `storeu` need no alignment, and each store writes one whole
+    // `[f32; 4]`.
+    unsafe {
+        let col = |r: usize| _mm_loadu_ps(b.as_ptr().add(r * k + j));
+        let mut acc: [[__m128; 4]; M] = [[_mm_setzero_ps(); 4]; M];
+        for c in (0..full).step_by(4) {
+            let av: [__m128; M] = std::array::from_fn(|q| _mm_loadu_ps(a.as_ptr().add(q * m + c)));
+            let (b0, b1, b2, b3) = (col(c), col(c + 1), col(c + 2), col(c + 3));
+            for (acc, &av) in acc.iter_mut().zip(&av) {
+                acc[0] = _mm_add_ps(acc[0], _mm_mul_ps(b0, splat::<0x00>(av)));
+                acc[1] = _mm_add_ps(acc[1], _mm_mul_ps(b1, splat::<0x55>(av)));
+                acc[2] = _mm_add_ps(acc[2], _mm_mul_ps(b2, splat::<0xAA>(av)));
+                acc[3] = _mm_add_ps(acc[3], _mm_mul_ps(b3, splat::<0xFF>(av)));
+            }
+        }
+        for (q, (o, [l0, l1, l2, l3])) in out.iter_mut().zip(acc).enumerate() {
+            let mut s = _mm_add_ps(_mm_add_ps(_mm_add_ps(l0, l1), l2), l3);
+            for r in full..m {
+                s = _mm_add_ps(s, _mm_mul_ps(col(r), _mm_set1_ps(a[q * m + r])));
+            }
+            _mm_storeu_ps(o.as_mut_ptr(), s);
+        }
+    }
+    out
+}
+
+/// Lane `L / 0x55` of `v` in all four lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn splat<const L: i32>(v: std::arch::x86_64::__m128) -> std::arch::x86_64::__m128 {
+    // SAFETY: SSE is part of the x86-64 baseline, so the intrinsic exists
+    // on every x86-64 CPU; it touches no memory.
+    unsafe { std::arch::x86_64::_mm_shuffle_ps::<L>(v, v) }
+}
+
+/// `col_dots` as a scalar loop, for targets without the x86-64 SSE2
+/// baseline.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn col_dots<const M: usize>(a: &[f32], b: &[f32], k: usize, j: usize) -> [[f32; 4]; M] {
+    let m = a.len() / M;
+    std::array::from_fn(|q| col_dots_tail(&a[q * m..(q + 1) * m], b, k, j))
+}
+
+/// `[c] = dot(a, b[:, j + c])` for the columns from `j` to the end of the
+/// row-major `b` (at most four; the rest of the result is zero), one
+/// scalar lane update per element in [`dot`]'s order.
+fn col_dots_tail(a: &[f32], b: &[f32], k: usize, j: usize) -> [f32; 4] {
+    let m = a.len();
+    let full = m / 4 * 4;
+    let mut out = [0.0f32; 4];
+    for (c, o) in out.iter_mut().enumerate().take(k.saturating_sub(j)) {
+        let col = |r: usize| b[r * k + j + c];
+        let mut lanes = [0.0f32; 4];
+        for r in 0..full {
+            lanes[r % 4] += col(r) * a[r];
+        }
+        *o = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+        for (r, &ar) in a.iter().enumerate().skip(full) {
+            *o += col(r) * ar;
+        }
+    }
+    out
+}
+
+/// `out[i][j] += g_t[i]·x_t[j]` over the row-major `out` (`m × k`), for the
+/// rows `g_t` of `g` (`T × m`) and `x_t` of `x` (`T × k`) from the last `t`
+/// to the first: one multiply and one add per term, each added onto the
+/// running value. Tiles of four rows by eight columns (then four, then
+/// single columns; then single rows) hold their part of `out` in
+/// registers for every term.
+fn rank_acc(out: &mut [f32], k: usize, g: &[f32], x: &[f32]) {
+    if k == 0 {
+        return;
+    }
+    let m = out.len() / k;
+    let nt = x.len() / k;
+    assert!(out.len() == m * k && g.len() == nt * m && x.len() == nt * k, "rank_acc shape");
+    let (m4, k4, k8) = (m / 4 * 4, k / 4 * 4, k / 8 * 8);
+    let mut tile_row = |i: usize, rows: usize| {
+        for j in (0..k8).step_by(8) {
+            match rows {
+                4 => rank_tile::<4, 2>(out, k, i, j, g, x),
+                _ => rank_tile::<1, 2>(out, k, i, j, g, x),
+            }
+        }
+        if k8 < k4 {
+            match rows {
+                4 => rank_tile::<4, 1>(out, k, i, k8, g, x),
+                _ => rank_tile::<1, 1>(out, k, i, k8, g, x),
+            }
+        }
+    };
+    for i in (0..m4).step_by(4) {
+        tile_row(i, 4);
+    }
+    for i in m4..m {
+        tile_row(i, 1);
+    }
+    for i in 0..m {
+        for j in k4..k {
+            let o = &mut out[i * k + j];
+            for t in (0..nt).rev() {
+                *o += g[t * m + i] * x[t * k + j];
+            }
+        }
+    }
+}
+
+/// One `R × 4V` tile of `rank_acc` at row `i`, column `j`: the tile is
+/// loaded once into `R·V` SSE2 vectors, each term adds `g_t[i + r]` times
+/// four `x_t` values with one `mulps` and one `addps` (per lane the scalar
+/// `o += g·x`, so the bits match it), and the tile is stored once.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn rank_tile<const R: usize, const V: usize>(
+    out: &mut [f32],
+    k: usize,
+    i: usize,
+    j: usize,
+    g: &[f32],
+    x: &[f32],
+) {
+    use std::arch::x86_64::{
+        __m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps,
+    };
+    let (m, nt) = (out.len() / k, x.len() / k);
+    assert!(i + R <= m && j + 4 * V <= k && g.len() == nt * m && x.len() == nt * k, "rank_tile");
+    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
+    // on every x86-64 CPU. Every access to `out` covers the four floats
+    // `[(i + r)·k + j + 4v, … + 4)` with `r < R`, `v < V`; since
+    // `i + R <= m` and `j + 4V <= k` it ends at or before `m·k = out.len()`.
+    // Every load from `x` covers `[t·k + j + 4v, … + 4)` with `t < nt`,
+    // ending at or before `nt·k = x.len()`, and the four-float load from
+    // `g` (when `R == 4`) covers `[t·m + i, t·m + i + 4)`, ending at or
+    // before `nt·m = g.len()` since `i + 4 <= m` (all asserted above).
+    // `loadu` and `storeu` need no alignment.
+    unsafe {
+        let at = |r: usize, v: usize| (i + r) * k + j + 4 * v;
+        let mut acc: [[__m128; V]; R] =
+            std::array::from_fn(|r| std::array::from_fn(|v| _mm_loadu_ps(out.as_ptr().add(at(r, v)))));
+        for t in (0..nt).rev() {
+            let xv: [__m128; V] = std::array::from_fn(|v| _mm_loadu_ps(x.as_ptr().add(t * k + j + 4 * v)));
+            let gv: [__m128; R] = match R {
+                4 => {
+                    let g4 = _mm_loadu_ps(g.as_ptr().add(t * m + i));
+                    let s = [splat::<0x00>(g4), splat::<0x55>(g4), splat::<0xAA>(g4), splat::<0xFF>(g4)];
+                    std::array::from_fn(|r| s[r])
+                }
+                _ => std::array::from_fn(|r| _mm_set1_ps(g[t * m + i + r])),
+            };
+            for (acc, &gv) in acc.iter_mut().zip(&gv) {
+                for (acc, &xv) in acc.iter_mut().zip(&xv) {
+                    *acc = _mm_add_ps(*acc, _mm_mul_ps(gv, xv));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (v, &acc) in acc.iter().enumerate() {
+                _mm_storeu_ps(out.as_mut_ptr().add(at(r, v)), acc);
+            }
+        }
+    }
+}
+
+/// `rank_tile` as a scalar loop, for targets without the x86-64 SSE2
+/// baseline.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn rank_tile<const R: usize, const V: usize>(
+    out: &mut [f32],
+    k: usize,
+    i: usize,
+    j: usize,
+    g: &[f32],
+    x: &[f32],
+) {
+    let (m, nt) = (out.len() / k, x.len() / k);
+    for r in i..i + R {
+        for c in j..j + 4 * V {
+            let o = &mut out[r * k + c];
+            for t in (0..nt).rev() {
+                *o += g[t * m + r] * x[t * k + c];
+            }
+        }
     }
 }
 
@@ -264,9 +575,9 @@ impl Matrix {
         self.rows == other.rows && self.cols == other.cols
     }
 
-    /// `self × other`. The matrix-×-column-vector case (the seq2seq hot
-    /// path) takes the four-row `dot_rows` matvec path; any other shape returns
-    /// [`reference::matmul`]'s result.
+    /// `self × other`. One column (`W·x`, the seq2seq hot path) takes the
+    /// four-row `matvec_rows` path; more (`Gᵀ·W`, stacked input gradients)
+    /// take `dots_tn` over the rows of `self`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -274,18 +585,18 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         trace_flops(self.rows, self.cols, other.cols);
-        if other.cols != 1 {
-            return reference::matmul(self, other);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        if other.cols == 1 {
+            matvec_rows(&self.data, &other.data, &mut out.data, |o, d| *o = d);
+        } else {
+            dots_tn(&self.data, &other.data, other.cols, &mut out.data);
         }
-        let mut out = Matrix::zeros(self.rows, 1);
-        matvec_rows(&self.data, &other.data, &mut out.data, |o, d| *o = d);
         out
     }
 
     /// `selfᵀ × other` — the `Wᵀ g` backprop kernel. The matvec case
-    /// streams `self` row by row through `matvec_tn_rows` (four lane
-    /// accumulators per output in the thread-local scratch, no transpose);
-    /// any other shape returns [`reference::matmul_tn`]'s result.
+    /// streams `self` row by row through `dots_tn` (no transpose); any
+    /// other shape returns [`reference::matmul_tn`]'s result.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape");
         trace_flops(self.cols, self.rows, other.cols);
@@ -297,34 +608,50 @@ impl Matrix {
         out
     }
 
-    /// `self × otherᵀ`. The shared-dimension-1 case (`g xᵀ`, an outer
-    /// product) accumulates onto zeros, computing `0.0 + g_i·x_j` exactly
-    /// as [`dot`] does for one element (so a `-0.0` product comes out
-    /// `+0.0`); any other shape returns [`reference::matmul_nt`]'s result.
+    /// `self × otherᵀ`. A shared dimension above 1 (`Xᵀ·Wᵀ`, the forward
+    /// projection of stacked inputs) takes `dots_nt`. A shared dimension of
+    /// 1 (`g xᵀ`, an outer product) accumulates onto zeros, computing
+    /// `0.0 + g_i·x_j` exactly as [`dot`] does for one element (so a `-0.0`
+    /// product comes out `+0.0`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape");
         trace_flops(self.rows, self.cols, other.rows);
-        if self.cols != 1 {
-            return reference::matmul_nt(self, other);
-        }
         let mut out = Matrix::zeros(self.rows, other.rows);
-        outer_acc(&mut out.data, &self.data, &other.data);
+        if self.cols == 1 {
+            outer_acc(&mut out.data, &self.data, &other.data);
+        } else {
+            dots_nt(&self.data, &other.data, self.cols, other.rows, &mut out.data);
+        }
         out
     }
 
-    /// `self += g · xᵀ` — the weight-gradient outer product accumulated in
-    /// place. Each element performs the single `+= g_i·x_j` addition the
-    /// unfused path performs after materializing the product, so the bits
-    /// match.
+    /// `self += g · xᵀ` for column vectors `g` and `x` — one step's
+    /// weight-gradient outer product accumulated in place: the one-term
+    /// case of [`Matrix::rank_acc`].
     pub fn rank1_acc(&mut self, g: &Matrix, x: &Matrix) {
         debug_assert!(g.data.len() == self.rows && x.data.len() == self.cols);
         nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols) as u64);
         outer_acc(&mut self.data, &g.data, &x.data);
     }
 
+    /// `self += Σ_t g_t · x_tᵀ` over the rows `g_t` of `g` (`T × rows`) and
+    /// `x_t` of `x` (`T × cols`), one term at a time from the last row to
+    /// the first — the order in which backward visits the steps of a
+    /// time-batched product. Each element performs the same `+= g_i·x_j`
+    /// additions, in the same order, as `T` calls to
+    /// [`Matrix::rank1_acc`], so the bits match.
+    pub fn rank_acc(&mut self, g: &Matrix, x: &Matrix) {
+        assert!(
+            g.cols == self.rows && x.cols == self.cols && g.rows == x.rows,
+            "rank_acc shape"
+        );
+        nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols * g.rows) as u64);
+        rank_acc(&mut self.data, self.cols, &g.data, &x.data);
+    }
+
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
     /// fused affine ops. Each row's product is a full fixed-order [`dot`]
-    /// (four rows at a time through `dot_rows`) added to the existing value,
+    /// (four rows at a time through `matvec_rows`) added to the existing value,
     /// mirroring what a `Matmul` node followed by an `Add` node computes
     /// element-by-element.
     pub fn matvec_acc(&self, x: &Matrix, out: &mut Matrix) {
@@ -418,6 +745,19 @@ pub mod reference {
         assert_eq!(a.cols, x.rows, "matvec shape");
         for i in 0..a.rows {
             out.data[i] += dot(&a.data[i * a.cols..(i + 1) * a.cols], &x.data);
+        }
+    }
+
+    /// `out += Σ_t g_t · x_tᵀ` over the rows of `g` and `x`, last row
+    /// first, one element and one term at a time.
+    pub fn rank_acc(out: &mut Matrix, g: &Matrix, x: &Matrix) {
+        assert!(g.cols == out.rows && x.cols == out.cols && g.rows == x.rows, "rank_acc shape");
+        for t in (0..g.rows).rev() {
+            for i in 0..out.rows {
+                for j in 0..out.cols {
+                    *out.at_mut(i, j) += g.at(t, i) * x.at(t, j);
+                }
+            }
         }
     }
 }
@@ -522,6 +862,39 @@ mod tests {
                 assert_eq!(bits(&fast), bits(&slow), "matmul_nt {m}x{k}x{n}");
             }
         }
+        // The time-batched model products at odd vocabularies: the
+        // forward `Xᵀ·Wᵀ`, the input gradients `Gᵀ·W` and the weight
+        // gradient over `T` stacked steps, at the feature widths of basic
+        // (h = 32), +attention (3h = 96) and the full-scale output
+        // projection (216), and at a width that is no multiple of the tile
+        // width (37, with every `T` from 1 to 33). Each shape draws plain
+        // values, either sign of zero or hostile values in turn.
+        let draws: [fn(usize, usize, &mut StdRng) -> Matrix; 3] =
+            [rand_mat, signed_zero_mat, hostile_mat];
+        let widths = [37, 32, 96, 216];
+        let stacked = [793, 1023, 1031].into_iter().flat_map(|v| widths.map(|k| (v, k)));
+        for (n, (v, k)) in stacked.enumerate() {
+            let draw = draws[n % 3];
+            let steps: Vec<usize> = if n == 0 { (1..=33).collect() } else { vec![1, 2, 7, 33] };
+            for t in steps {
+                let (w, x, g) = (draw(v, k, &mut rng), draw(t, k, &mut rng), draw(t, v, &mut rng));
+                let shape = format!("{v}x{k}, T = {t}");
+                let fast = x.matmul_nt(&w);
+                assert_eq!(bits(&fast), bits(&reference::matmul_nt(&x, &w)), "Xᵀ·Wᵀ {shape}");
+                let fast = g.matmul(&w);
+                assert_eq!(bits(&fast), bits(&reference::matmul(&g, &w)), "Gᵀ·W {shape}");
+                let mut fast = draw(v, k, &mut rng);
+                let mut slow = fast.clone();
+                fast.rank_acc(&g, &x);
+                reference::rank_acc(&mut slow, &g, &x);
+                assert_eq!(bits(&fast), bits(&slow), "rank_acc {shape}");
+            }
+        }
+    }
+
+    /// A matrix of [`hostile`] entries.
+    fn hostile_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| hostile(rng)).collect())
     }
 
     #[test]
