@@ -360,6 +360,35 @@ impl Predicate {
             (None, None) => None,
         }
     }
+
+    /// Split the merged Filter subtree back into (pre-group WHERE,
+    /// post-group HAVING) by walking the top-level AND chain: a conjunct
+    /// goes to HAVING iff any of its leaves compares an aggregated
+    /// attribute.
+    pub fn split_where_having(&self) -> (Option<Predicate>, Option<Predicate>) {
+        match self {
+            Predicate::And(l, r) => {
+                let (lw, lh) = l.split_where_having();
+                let (rw, rh) = r.split_where_having();
+                (Predicate::and_opt(lw, rw), Predicate::and_opt(lh, rh))
+            }
+            conjunct => {
+                let mut aggregated = false;
+                conjunct.for_each_leaf(&mut |leaf| match leaf {
+                    Predicate::Cmp { attr, .. }
+                    | Predicate::Between { attr, .. }
+                    | Predicate::Like { attr, .. }
+                    | Predicate::In { attr, .. } => aggregated |= attr.is_aggregated(),
+                    Predicate::And(..) | Predicate::Or(..) => {}
+                });
+                if aggregated {
+                    (None, Some(conjunct.clone()))
+                } else {
+                    (Some(conjunct.clone()), None)
+                }
+            }
+        }
+    }
 }
 
 /// Temporal or numeric binning unit (`binning A`).
@@ -407,10 +436,6 @@ impl BinUnit {
                 BinUnit::Numeric { n_bins: n }
             }
         })
-    }
-
-    pub fn is_temporal(self) -> bool {
-        !matches!(self, BinUnit::Numeric { .. })
     }
 }
 
@@ -755,8 +780,6 @@ mod tests {
             assert_eq!(BinUnit::from_keyword(&u.keyword()), Some(u), "{u:?}");
         }
         assert_eq!(BinUnit::from_keyword("bucket_x"), None);
-        assert!(BinUnit::Year.is_temporal());
-        assert!(!BinUnit::Numeric { n_bins: 10 }.is_temporal());
     }
 
     #[test]

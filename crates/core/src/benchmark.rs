@@ -7,6 +7,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Shares of the pairs that [`NvBench::split`] puts in train and
+/// validation (§4.2); test takes the remainder.
+const TRAIN_FRAC: f64 = 0.80;
+const VAL_FRAC: f64 = 0.045;
+
 /// One distinct synthesized visualization (a *vis object*).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VisObject {
@@ -67,11 +72,6 @@ impl NvBench {
     /// Random pair-level split (Figure 16 / §4.2: 80% train, 4.5% val,
     /// 15.5% test).
     pub fn split(&self, seed: u64) -> Split {
-        self.split_with(seed, 0.80, 0.045)
-    }
-
-    /// Split with explicit train/val fractions (test takes the remainder).
-    pub fn split_with(&self, seed: u64, train_frac: f64, val_frac: f64) -> Split {
         let mut idx: Vec<usize> = (0..self.pairs.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         // Fisher–Yates.
@@ -80,8 +80,8 @@ impl NvBench {
             idx.swap(i, j);
         }
         let n = idx.len();
-        let n_train = ((n as f64) * train_frac).round() as usize;
-        let n_val = ((n as f64) * val_frac).round() as usize;
+        let n_train = ((n as f64) * TRAIN_FRAC).round() as usize;
+        let n_val = ((n as f64) * VAL_FRAC).round() as usize;
         let train = idx[..n_train.min(n)].to_vec();
         let val = idx[n_train.min(n)..(n_train + n_val).min(n)].to_vec();
         let test = idx[(n_train + n_val).min(n)..].to_vec();

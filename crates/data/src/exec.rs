@@ -585,8 +585,8 @@ impl Exec<'_> {
     }
 
     fn body(&mut self, db: &Database, body: &QueryBody) -> Result<ResultSet, ExecError> {
-        let (where_p, having_p) = match body.filter.clone() {
-            Some(p) => split_where_having(p),
+        let (where_p, having_p) = match &body.filter {
+            Some(p) => p.split_where_having(),
             None => (None, None),
         };
 
@@ -1126,43 +1126,6 @@ fn hash_join<'a>(
     let mut types = l.types;
     types.extend(r.types);
     Ok(Relation { cols, types, rows: Rows::Owned(rows) })
-}
-
-/// Does any leaf of the predicate reference an aggregated attribute?
-fn pred_has_agg(p: &Predicate) -> bool {
-    let mut found = false;
-    p.for_each_leaf(&mut |leaf| {
-        let attr = match leaf {
-            Predicate::Cmp { attr, .. }
-            | Predicate::Between { attr, .. }
-            | Predicate::Like { attr, .. }
-            | Predicate::In { attr, .. } => attr,
-            _ => return,
-        };
-        if attr.is_aggregated() {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Split a predicate into (pre-group WHERE, post-group HAVING) by walking
-/// the top-level AND chain.
-fn split_where_having(p: Predicate) -> (Option<Predicate>, Option<Predicate>) {
-    match p {
-        Predicate::And(l, r) => {
-            let (lw, lh) = split_where_having(*l);
-            let (rw, rh) = split_where_having(*r);
-            (Predicate::and_opt(lw, rw), Predicate::and_opt(lh, rh))
-        }
-        other => {
-            if pred_has_agg(&other) {
-                (None, Some(other))
-            } else {
-                (Some(other), None)
-            }
-        }
-    }
 }
 
 fn cmp_values(a: &Value, b: &Value, op: CmpOp) -> bool {

@@ -46,7 +46,7 @@ fn body_sql(b: &QueryBody) -> String {
 
     // Split the merged filter back into WHERE and HAVING for valid SQL.
     let (where_p, having_p) = match &b.filter {
-        Some(p) => split_filter(p),
+        Some(p) => p.split_where_having(),
         None => (None, None),
     };
     if let Some(p) = where_p {
@@ -90,39 +90,6 @@ fn body_sql(b: &QueryBody) -> String {
         s.push_str(&format!(" ORDER BY {} {} LIMIT {}", attr_sql(&sup.attr), dir, sup.k));
     }
     s
-}
-
-fn split_filter(p: &Predicate) -> (Option<Predicate>, Option<Predicate>) {
-    fn has_agg(p: &Predicate) -> bool {
-        let mut found = false;
-        p.for_each_leaf(&mut |leaf| {
-            let attr = match leaf {
-                Predicate::Cmp { attr, .. }
-                | Predicate::Between { attr, .. }
-                | Predicate::Like { attr, .. }
-                | Predicate::In { attr, .. } => attr,
-                _ => return,
-            };
-            if attr.is_aggregated() {
-                found = true;
-            }
-        });
-        found
-    }
-    match p {
-        Predicate::And(l, r) => {
-            let (lw, lh) = split_filter(l);
-            let (rw, rh) = split_filter(r);
-            (Predicate::and_opt(lw, rw), Predicate::and_opt(lh, rh))
-        }
-        other => {
-            if has_agg(other) {
-                (None, Some(other.clone()))
-            } else {
-                (Some(other.clone()), None)
-            }
-        }
-    }
 }
 
 fn attr_sql(a: &Attr) -> String {

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # The repo's CI gate, runnable locally. Stages:
 #
-#   scripts/ci.sh                  # everything (build, tests, vendor,
-#                                  # faults, warnings, clippy, doc,
+#   scripts/ci.sh                  # everything (build, tests, deps,
+#                                  # vendor, faults, warnings, clippy, doc,
 #                                  # differential,
 #                                  # golden, trace, gradcheck, nvperf,
 #                                  # quick, examples)
+#   scripts/ci.sh deps             # the facade's normal dependency graph
+#                                  # names neither nv-oracle nor proptest
 #   scripts/ci.sh vendor           # the vendored crates' own unit tests
 #                                  # (vendor/ is outside the workspace)
 #   scripts/ci.sh clippy           # clippy-clean workspace, all targets
@@ -43,6 +45,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
+
+# The differential oracle and the property-test crate are test-only: the
+# library, `reproduce`, the examples and nvperf must build without them.
+run_deps() {
+  echo "=== deps: nvbench's normal dependency graph has no test-only crate ==="
+  local tree
+  tree="$(cargo tree --offline --locked -e normal -p nvbench)"
+  if grep -E 'nv-oracle|proptest' <<< "$tree"; then
+    echo "a test-only crate is a normal dependency of nvbench; move it to [dev-dependencies]" >&2
+    return 1
+  fi
+}
 
 run_vendor() {
   echo "=== vendored crates: their own unit tests ==="
@@ -168,6 +182,10 @@ run_nvperf() {
 }
 
 case "$stage" in
+  deps)
+    run_deps
+    exit 0
+    ;;
   vendor)
     run_vendor
     exit 0
@@ -210,51 +228,54 @@ case "$stage" in
     ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|vendor|clippy|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
+    echo "usage: scripts/ci.sh [all|deps|vendor|clippy|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/14] cargo build --release ==="
+echo "=== [1/15] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/14] cargo test -q (every workspace crate) ==="
+echo "=== [2/15] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/14] vendored crates' unit tests ==="
+echo "=== [3/15] normal dependency graph ==="
+run_deps
+
+echo "=== [4/15] vendored crates' unit tests ==="
 run_vendor
 
-echo "=== [4/14] fault-injection harness ==="
+echo "=== [5/15] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [5/14] warnings-clean (whole workspace, all targets) ==="
+echo "=== [6/15] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [6/14] clippy-clean (whole workspace, all targets) ==="
+echo "=== [7/15] clippy-clean (whole workspace, all targets) ==="
 run_clippy
 
-echo "=== [7/14] warnings-clean rustdoc ==="
+echo "=== [8/15] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [8/14] differential oracle ==="
+echo "=== [9/15] differential oracle ==="
 run_differential
 
-echo "=== [9/14] golden snapshots ==="
+echo "=== [10/15] golden snapshots ==="
 run_golden
 
-echo "=== [10/14] trace observability gate ==="
+echo "=== [11/15] trace observability gate ==="
 run_trace
 
-echo "=== [11/14] training-kernel gradcheck + determinism gate ==="
+echo "=== [12/15] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [12/14] benchmark harness (nvperf) ==="
+echo "=== [13/15] benchmark harness (nvperf) ==="
 run_nvperf
 
-echo "=== [13/14] reproduce quick golden ==="
+echo "=== [14/15] reproduce quick golden ==="
 run_quick
 
-echo "=== [14/14] examples ==="
+echo "=== [15/15] examples ==="
 run_examples
 
 echo "=== CI green ==="

@@ -22,7 +22,6 @@
 //! | [`trace`] | `nv-trace` | pipeline observability: spans, counters, trace reports |
 //! | [`core`] | `nv-core` | the synthesizer pipeline + NvBench container |
 //! | [`nn`] | `nv-nn` | matrices, autograd, LSTM seq2seq |
-//! | [`oracle`] | `nv-oracle` | differential oracle: reference interpreter, laws, golden snapshots |
 //! | [`seq2vis`] | `nv-seq2vis` | the neural NL2VIS translator + metrics |
 //! | [`baselines`] | `nv-baselines` | DeepEye + NL4DV comparators |
 //! | [`eval`] | `nv-eval` | simulated human evaluation |
@@ -55,7 +54,6 @@ pub use nv_core as core;
 pub use nv_data as data;
 pub use nv_eval as eval;
 pub use nv_nn as nn;
-pub use nv_oracle as oracle;
 pub use nv_quality as quality;
 pub use nv_render as render;
 pub use nv_seq2vis as seq2vis;

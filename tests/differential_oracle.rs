@@ -10,13 +10,13 @@
 //! DIVERGENCE engine=… — repro: gen_case(SEED, CASE).1[QI]
 //! ```
 //!
-//! means `nvbench::oracle::gen_case(SEED, CASE)` rebuilds the database and
+//! means `nv_oracle::gen_case(SEED, CASE)` rebuilds the database and
 //! query list, and `.1[QI]` is the offending query (the report also prints
 //! the shrunk pair in full).
 
-use nvbench::core::par::map_ordered;
-use nvbench::oracle::{case_digest, gen_case, run_differential, run_laws, DiffConfig};
+use nv_oracle::{case_digest, gen_case, run_differential, run_laws, DiffConfig};
 use nvbench::ast::{tokens, Hardness};
+use nvbench::core::par::map_ordered;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)

@@ -147,7 +147,7 @@ fn synthesis_under_faults_is_isolated_accounted_and_deterministic() {
 /// whole report is deterministic under a content-keyed plan.
 #[test]
 fn differential_oracle_coexists_with_armed_faults() {
-    use nvbench::oracle::{run_differential, DiffConfig};
+    use nv_oracle::{run_differential, DiffConfig};
     let _lock = ARM_LOCK.lock().unwrap();
 
     let run = || {

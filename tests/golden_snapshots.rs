@@ -13,8 +13,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use nv_oracle::{corpus_snapshot, diff_lines, snapshot_vis_lines};
 use nvbench::ast::{tokens, Hardness};
-use nvbench::oracle::{corpus_snapshot, diff_lines, snapshot_vis_lines};
 
 /// Seeds frozen under `tests/golden/`. Two seeds so a change that happens to
 /// cancel out on one input stream still trips the other.
