@@ -727,10 +727,22 @@ impl Tape {
                 }
                 Op::SliceRows { src, start } => {
                     let (src, start) = (*src, *start);
-                    let rows = self.value(store, src).rows;
-                    let mut ds = Matrix::zeros(rows, 1);
-                    ds.data[start..start + g.rows].copy_from_slice(&g.data);
-                    acc(&mut grads, src, ds);
+                    match &mut grads[src.0] {
+                        // Adding `0.0` outside the slice, as adding a
+                        // zero-padded column would, turns a `-0.0` there
+                        // into `+0.0`.
+                        Some(ds) => {
+                            let (head, rest) = ds.data.split_at_mut(start);
+                            let (mid, tail) = rest.split_at_mut(g.rows);
+                            head.iter_mut().chain(tail.iter_mut()).for_each(|d| *d += 0.0);
+                            mid.iter_mut().zip(&g.data).for_each(|(d, g)| *d += g);
+                        }
+                        slot => {
+                            let mut ds = Matrix::zeros(self.value(store, src).rows, 1);
+                            ds.data[start..start + g.rows].copy_from_slice(&g.data);
+                            *slot = Some(ds);
+                        }
+                    }
                 }
                 Op::ConcatRows(parts) => {
                     let mut off = 0;

@@ -18,11 +18,32 @@
 //! training runs to this equality, and the unit tests below hold every
 //! kernel to it shape-by-shape, bit for bit.
 //!
+//! ## Register widths
+//!
 //! rustc does not vectorize the four lanes on its own at the default
-//! x86-64 target (it emits one scalar `mulss`/`addss` per lane), so on
-//! x86-64 the tiles are SSE2 vectors, written with `std::arch`. SSE2 is
-//! part of the x86-64 baseline, so this needs no runtime detection and no
-//! `target-cpu` flag; other targets run the same tiles as scalar loops.
+//! x86-64 target (it emits one scalar `mulss`/`addss` per lane), so the
+//! tiles are written once, generic over a register of lanes (`Lanes`), and
+//! run at one of three widths (`Simd`):
+//!
+//! * **SSE2**, four floats per register: the x86-64 baseline, and the
+//!   fallback on an x86-64 CPU without AVX.
+//! * **AVX**, eight floats per register, chosen at run time when the CPU
+//!   has it (`is_x86_feature_detected!`, once per kernel call; a traced run
+//!   records the width as the `nn.simd.lanes` gauge). A register holds two
+//!   outputs' four `dot` lanes side by side, or eight neighbouring outputs'
+//!   copies of one lane, so every output keeps `dot`'s lane assignment and
+//!   order. The stacked products, the outer product and the transposed
+//!   matvec run at this width; the one-vector `W·x` stays at four lanes,
+//!   where eight, dispatched per call, timed faster alone but slowed
+//!   training end to end.
+//! * **Scalar** loops over four lanes: the kernels of other targets (x86-64
+//!   runs them only in the tests).
+//!
+//! Every width multiplies, then adds, as two rounded operations: only
+//! `avx` is enabled, never `fma`, so a product is never fused into its sum
+//! and all three widths return the same bits. `scripts/ci.sh nofma` fails
+//! if a fused multiply-add appears in the release binary. No build flag or
+//! setting picks the width.
 //!
 //! ## One kernel per product
 //!
@@ -33,19 +54,19 @@
 //! product over `T` steps is one call. Each product has one kernel:
 //!
 //! * `W·x` (`matmul` with one column, and `matvec_acc`) reduces four
-//!   weight rows at a time (`matvec_rows`, `dot_rows::<4, 1>`: four
-//!   independent lane vectors, each in [`dot`]'s exact order, sharing
-//!   each load of `x`).
+//!   weight rows at a time (`matvec_rows`, `dot_rows`: four independent
+//!   lane vectors, each in [`dot`]'s exact order, sharing each load of
+//!   `x`).
 //! * The stacked forward `Xᵀ·Wᵀ` (`matmul_nt` with a shared dimension
 //!   above 1) is `dots_nt`: `out[t][i] = dot(x_t, w_i)`, a tile of four
-//!   rows of `W` against two stacked vectors (`dot_rows::<4, 2>`: eight
-//!   lane vectors), so each load of `W` serves two steps and each load of
-//!   `x` four rows. Blocks of `W` are the outer loop, so a stacked call
-//!   streams `W` from memory once, not once per step.
+//!   registers of `W` rows (four rows at SSE2, eight at AVX) against two
+//!   stacked vectors, so each load of `W` serves two steps and each load
+//!   of `x` every row of the tile. Blocks of `W` are the outer loop, so a
+//!   stacked call streams `W` from memory once, not once per step.
 //! * The stacked input gradients `Gᵀ·W` (`matmul` with more than one
 //!   column) are `dots_tn`: `out[t][j] = dot(g_t, w[:, j])`, walking down
-//!   the rows of `W` with a tile of four columns against two stacked
-//!   gradients, each output's four lanes in separate register vectors.
+//!   the rows of `W` with a register of columns (four or eight) against two
+//!   stacked gradients, each output's four lanes in separate registers.
 //! * A single `Wᵀ·g` (`matmul_tn` with one column) streams `W` row by row
 //!   (`matvec_tn_rows`): each output keeps [`dot`]'s four lanes as
 //!   separate accumulator vectors, so the inner loop runs along a
@@ -56,8 +77,9 @@
 //!   ([`Matrix::rank1_acc`], and `matmul_nt`'s shared-dimension-1 case
 //!   onto zeros) is one `out[i][j] += g[i]·x[j]` loop (`outer_acc`); the
 //!   `T` steps of a stack ([`Matrix::rank_acc`]) are `rank_acc`, which
-//!   keeps a tile of four rows by eight columns of `out` in registers for
-//!   every term, so the gradient is read and written once per call.
+//!   keeps a tile of four rows by two registers of columns (8 at SSE2, 16
+//!   at AVX) of `out` in registers for every term, so the gradient is read
+//!   and written once per call.
 //!
 //! `matmul_tn` with more than one column is no model product; it returns
 //! the [`reference`](mod@reference) kernel's result. Every product
@@ -67,113 +89,443 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::RefCell;
 
+/// One register of [`dot`] lanes: `WIDTH` floats, read as `WIDTH / 4`
+/// groups of four. Its arithmetic is lane-wise, one rounding per
+/// operation, so a tile written against it computes the same bits at
+/// every width.
+///
+/// # Safety
+///
+/// Every method may execute the type's instructions (SSE2 for `Sse`, AVX
+/// for `Avx`, none for `Scalar`); the caller must know the CPU has them.
+/// A method that takes a pointer reads or writes floats from it, all of
+/// which must be in bounds: `WIDTH` for `load` and `store`, four for
+/// `dup4` and `splat4`, and four at each of `p + g·stride` for
+/// `g < WIDTH / 4` for `load_groups`.
+trait Lanes: Copy {
+    /// Floats per register: 4 or 8.
+    const WIDTH: usize;
+    /// The four-float register a kernel finishes its remainder with.
+    type Narrow: Lanes;
+    /// `x` in every lane.
+    unsafe fn set1(x: f32) -> Self;
+    unsafe fn add(self, other: Self) -> Self;
+    unsafe fn mul(self, other: Self) -> Self;
+    /// The `WIDTH` floats from `p`.
+    unsafe fn load(p: *const f32) -> Self;
+    /// Group `g` holds the four floats from `p + g·stride`.
+    unsafe fn load_groups(p: *const f32, stride: usize) -> Self;
+    /// Every group holds the four floats from `p`.
+    unsafe fn dup4(p: *const f32) -> Self;
+    /// Register `l` holds `p[l]` in every lane.
+    unsafe fn splat4(p: *const f32) -> [Self; 4];
+    /// The `WIDTH` lanes, written from `p`.
+    unsafe fn store(self, p: *mut f32);
+    /// Within each group, the 4×4 transpose of four registers: lane `j` of
+    /// register `v` goes to lane `v` of register `j`.
+    unsafe fn transpose4(v: [Self; 4]) -> [Self; 4];
+}
+
+/// Four lanes as plain scalar loops.
+#[derive(Clone, Copy)]
+struct Scalar([f32; 4]);
+
+impl Lanes for Scalar {
+    const WIDTH: usize = 4;
+    type Narrow = Scalar;
+    #[inline(always)]
+    unsafe fn set1(x: f32) -> Self {
+        Scalar([x; 4])
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Scalar(std::array::from_fn(|l| self.0[l] + other.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, other: Self) -> Self {
+        Scalar(std::array::from_fn(|l| self.0[l] * other.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Scalar(p.cast::<[f32; 4]>().read_unaligned())
+    }
+    #[inline(always)]
+    unsafe fn load_groups(p: *const f32, _stride: usize) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn dup4(p: *const f32) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn splat4(p: *const f32) -> [Self; 4] {
+        std::array::from_fn(|l| Scalar([*p.add(l); 4]))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<[f32; 4]>().write_unaligned(self.0)
+    }
+    #[inline(always)]
+    unsafe fn transpose4(v: [Self; 4]) -> [Self; 4] {
+        std::array::from_fn(|j| Scalar(std::array::from_fn(|r| v[r].0[j])))
+    }
+}
+
+/// Four lanes in one SSE2 register.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Sse(std::arch::x86_64::__m128);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Sse {
+    const WIDTH: usize = 4;
+    type Narrow = Sse;
+    #[inline(always)]
+    unsafe fn set1(x: f32) -> Self {
+        Sse(std::arch::x86_64::_mm_set1_ps(x))
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Sse(std::arch::x86_64::_mm_add_ps(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, other: Self) -> Self {
+        Sse(std::arch::x86_64::_mm_mul_ps(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Sse(std::arch::x86_64::_mm_loadu_ps(p))
+    }
+    #[inline(always)]
+    unsafe fn load_groups(p: *const f32, _stride: usize) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn dup4(p: *const f32) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn splat4(p: *const f32) -> [Self; 4] {
+        use std::arch::x86_64::_mm_shuffle_ps;
+        let v = std::arch::x86_64::_mm_loadu_ps(p);
+        [
+            Sse(_mm_shuffle_ps::<0x00>(v, v)),
+            Sse(_mm_shuffle_ps::<0x55>(v, v)),
+            Sse(_mm_shuffle_ps::<0xAA>(v, v)),
+            Sse(_mm_shuffle_ps::<0xFF>(v, v)),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        std::arch::x86_64::_mm_storeu_ps(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn transpose4([a, b, c, d]: [Self; 4]) -> [Self; 4] {
+        use std::arch::x86_64::{_mm_shuffle_ps, _mm_unpackhi_ps, _mm_unpacklo_ps};
+        let (ab0, ab2) = (_mm_unpacklo_ps(a.0, b.0), _mm_unpackhi_ps(a.0, b.0));
+        let (cd0, cd2) = (_mm_unpacklo_ps(c.0, d.0), _mm_unpackhi_ps(c.0, d.0));
+        [
+            Sse(_mm_shuffle_ps::<0x44>(ab0, cd0)),
+            Sse(_mm_shuffle_ps::<0xEE>(ab0, cd0)),
+            Sse(_mm_shuffle_ps::<0x44>(ab2, cd2)),
+            Sse(_mm_shuffle_ps::<0xEE>(ab2, cd2)),
+        ]
+    }
+}
+
+/// Eight lanes in one AVX register: two groups of four.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx(std::arch::x86_64::__m256);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx {
+    const WIDTH: usize = 8;
+    type Narrow = Sse;
+    #[inline(always)]
+    unsafe fn set1(x: f32) -> Self {
+        Avx(std::arch::x86_64::_mm256_set1_ps(x))
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_add_ps(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, other: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_mul_ps(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Avx(std::arch::x86_64::_mm256_loadu_ps(p))
+    }
+    #[inline(always)]
+    unsafe fn load_groups(p: *const f32, stride: usize) -> Self {
+        Avx(std::arch::x86_64::_mm256_loadu2_m128(p.add(stride), p))
+    }
+    #[inline(always)]
+    unsafe fn dup4(p: *const f32) -> Self {
+        let v = std::arch::x86_64::_mm_loadu_ps(p);
+        Avx(std::arch::x86_64::_mm256_set_m128(v, v))
+    }
+    #[inline(always)]
+    unsafe fn splat4(p: *const f32) -> [Self; 4] {
+        std::array::from_fn(|l| Avx(std::arch::x86_64::_mm256_broadcast_ss(&*p.add(l))))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        std::arch::x86_64::_mm256_storeu_ps(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn transpose4([a, b, c, d]: [Self; 4]) -> [Self; 4] {
+        use std::arch::x86_64::{_mm256_shuffle_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps};
+        let (ab0, ab2) = (_mm256_unpacklo_ps(a.0, b.0), _mm256_unpackhi_ps(a.0, b.0));
+        let (cd0, cd2) = (_mm256_unpacklo_ps(c.0, d.0), _mm256_unpackhi_ps(c.0, d.0));
+        [
+            Avx(_mm256_shuffle_ps::<0x44>(ab0, cd0)),
+            Avx(_mm256_shuffle_ps::<0xEE>(ab0, cd0)),
+            Avx(_mm256_shuffle_ps::<0x44>(ab2, cd2)),
+            Avx(_mm256_shuffle_ps::<0xEE>(ab2, cd2)),
+        ]
+    }
+}
+
+/// The register width a kernel runs at. Every width returns the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Simd {
+    /// Four lanes as scalar loops (targets other than x86-64).
+    Scalar,
+    /// Four lanes in SSE2 registers (the x86-64 baseline).
+    Sse,
+    /// Eight lanes in AVX registers, without FMA.
+    Avx,
+}
+
+impl Simd {
+    /// The widest width this CPU runs. The standard library caches the
+    /// CPU query, so this costs an atomic load.
+    fn detect() -> Simd {
+        if Simd::Avx.available() {
+            Simd::Avx
+        } else if Simd::Sse.available() {
+            Simd::Sse
+        } else {
+            Simd::Scalar
+        }
+    }
+
+    /// Floats per register.
+    fn lanes(self) -> u64 {
+        match self {
+            Simd::Scalar | Simd::Sse => 4,
+            Simd::Avx => 8,
+        }
+    }
+
+    /// Whether this CPU has the width's instructions.
+    fn available(self) -> bool {
+        match self {
+            Simd::Scalar => true,
+            Simd::Sse => cfg!(target_arch = "x86_64"),
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx => is_x86_feature_detected!("avx"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Simd::Avx => false,
+        }
+    }
+
+    /// Runs `product` at this width, recording the width as the
+    /// `nn.simd.lanes` gauge of a traced run.
+    fn run(self, product: Product<'_>) {
+        assert!(self.available(), "this CPU lacks the {self:?} instructions");
+        nv_trace::gauge_max("nn.simd.lanes", self.lanes());
+        match self {
+            // SAFETY: scalar lanes execute no special instructions.
+            Simd::Scalar => unsafe { product.run::<Scalar>() },
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            #[cfg(target_arch = "x86_64")]
+            Simd::Sse => unsafe { product.run::<Sse>() },
+            // SAFETY: `available` found AVX on this CPU just above.
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx => unsafe { run_avx(product) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Simd::Sse | Simd::Avx => unreachable!("no x86-64 width is available off x86-64"),
+        }
+    }
+}
+
+/// `product` at eight lanes. The kernels are `#[inline(always)]`, so their
+/// whole bodies compile here, with AVX (and never FMA) enabled.
+///
+/// # Safety
+///
+/// The CPU must have AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn run_avx(product: Product<'_>) {
+    product.run::<Avx>()
+}
+
+/// One call of a width-dispatched kernel, with its operands (see the
+/// kernel of each variant).
+enum Product<'a> {
+    /// `dots_nt`: `out[t·nb + i] = dot(a_t, b_i)`.
+    Nt { a: &'a [f32], b: &'a [f32], k: usize, nb: usize, out: &'a mut [f32] },
+    /// `dots_tn`: `out[t·k + j] = dot(a_t, b[:, j])`.
+    Tn { a: &'a [f32], b: &'a [f32], k: usize, out: &'a mut [f32] },
+    /// `rank_acc`: `out += Σ_t g_t·x_tᵀ`.
+    Rank { out: &'a mut [f32], k: usize, g: &'a [f32], x: &'a [f32] },
+    /// `outer_acc`: `out += g·xᵀ`.
+    Outer { out: &'a mut [f32], g: &'a [f32], x: &'a [f32] },
+    /// `matvec_tn_rows`: `out = wᵀ·g`.
+    MatvecTn { w: &'a [f32], g: &'a [f32], out: &'a mut [f32], lanes: &'a mut Vec<f32> },
+}
+
+impl Product<'_> {
+    /// # Safety
+    ///
+    /// The CPU must have `L`'s instructions.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        match self {
+            Product::Nt { a, b, k, nb, out } => dots_nt::<L>(a, b, k, nb, out),
+            Product::Tn { a, b, k, out } => dots_tn::<L>(a, b, k, out),
+            Product::Rank { out, k, g, x } => rank_acc::<L>(out, k, g, x),
+            Product::Outer { out, g, x } => outer_acc(out, g, x),
+            Product::MatvecTn { w, g, out, lanes } => matvec_tn_rows(w, g, out, lanes),
+        }
+    }
+}
+
+/// The four-float register of this target: SSE2 on x86-64, scalar loops
+/// elsewhere. The one-vector `W·x` and [`dot`] always run at this width.
+#[cfg(target_arch = "x86_64")]
+type Base = Sse;
+#[cfg(not(target_arch = "x86_64"))]
+type Base = Scalar;
+
 /// Dot product in the canonical fixed reduction order (4 lanes over chunks
 /// of 4, lanes summed in index order, sequential tail): the one-row,
 /// one-vector case of `dot_rows`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length");
-    dot_rows::<1, 1>(a, b)[0][0]
-}
-
-/// `N × M` [`dot`]s at once: entry `[q][r]` is row `r` of the `N`
-/// contiguous length-`k` rows in `rows` against row `q` of the `M`
-/// contiguous length-`k` vectors in `xs` (`k = xs.len() / M`). Each pair
-/// gets its own four lane accumulators over the full chunks of 4
-/// (`lane_sums`), which are summed `((0+1)+2)+3`; the `k % 4` tail
-/// elements are then added in order. The `N·M` accumulator chains are
-/// independent, so the adds of one output never wait on another's, and
-/// each chunk load serves `M` vectors (a row) or `N` rows (a vector).
-#[inline(always)]
-fn dot_rows<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[f32; N]; M] {
-    let k = xs.len() / M;
-    let mut s = lane_sums::<N, M>(rows, xs).map(|q| q.map(|l| l[0] + l[1] + l[2] + l[3]));
-    for i in k / 4 * 4..k {
-        for (q, s) in s.iter_mut().enumerate() {
-            for (r, s) in s.iter_mut().enumerate() {
-                *s += rows[r * k + i] * xs[q * k + i];
-            }
-        }
-    }
+    let mut s = 0.0;
+    // SAFETY: `Base` is the target's baseline register.
+    unsafe { dot_rows::<Base, 1, 1>(a, b, |_, d| s = d[0]) };
     s
 }
 
-/// The lane accumulators of `dot_rows`: for each of the `M` vectors and
-/// `N` rows, lane `j` is `Σ_c row[4c + j]·x[4c + j]` over the full chunks
-/// `c`, accumulated in chunk order from `0.0`. Each pair's four lanes are
-/// one SSE2 vector, updated by one `mulps` and one `addps` per chunk — per
-/// lane the same multiply-then-add as the scalar
-/// `lane[j] += row[4c + j] * x[4c + j]`, so the bits match it.
-#[cfg(target_arch = "x86_64")]
+/// `V·G × M` [`dot`]s at once (`G = L::WIDTH / 4` groups per register):
+/// `emit(q, d)` gets `d[r]`, row `r` of the contiguous length-`k` rows in
+/// `rows` against row `q` of the `M` contiguous length-`k` vectors in `xs`
+/// (`k = xs.len() / M`). Each pair gets its own four lane accumulators over
+/// the full chunks of 4 (`lane_sums`), which are summed `((0+1)+2)+3`; the
+/// `k % 4` tail elements are then added in order. The accumulator chains
+/// are independent, so the adds of one output never wait on another's,
+/// and each chunk load serves `M` vectors (a row) or every row (a vector).
+/// A tile of four registers sums its lanes in registers: transposed, the
+/// four registers hold lane 0, 1, 2 and 3 of every row, and three `add`s
+/// give each row `((0+1)+2)+3`.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
 #[inline(always)]
-fn lane_sums<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[[f32; 4]; N]; M] {
-    use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
+unsafe fn dot_rows<L: Lanes, const V: usize, const M: usize>(
+    rows: &[f32],
+    xs: &[f32],
+    mut emit: impl FnMut(usize, &[f32]),
+) {
     let k = xs.len() / M;
-    assert!(rows.len() == N * k && xs.len() == M * k, "dot_rows: {N} rows, {M} vectors of {k}");
-    let mut out = [[[0.0f32; 4]; N]; M];
-    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
-    // on every x86-64 CPU. With `c < k / 4`, each load reads the four
-    // floats `[q·k + 4c, q·k + 4c + 4)` of `xs` with `q < M`, or
-    // `[r·k + 4c, r·k + 4c + 4)` of `rows` with `r < N`; both end at or
-    // before `q·k + k <= M·k = xs.len()` and `r·k + k <= N·k = rows.len()`
-    // (asserted above). `loadu` and `storeu` need no alignment, and each
-    // store writes one whole `[f32; 4]`.
-    unsafe {
-        let mut acc = [[_mm_setzero_ps(); N]; M];
-        for c in 0..k / 4 {
-            let xv: [_; M] = std::array::from_fn(|q| _mm_loadu_ps(xs.as_ptr().add(q * k + 4 * c)));
-            for r in 0..N {
-                let rv = _mm_loadu_ps(rows.as_ptr().add(r * k + 4 * c));
-                for (acc, &xv) in acc.iter_mut().zip(&xv) {
-                    acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(rv, xv));
+    let n = V * L::WIDTH / 4;
+    for (q, acc) in lane_sums::<L, V, M>(rows, xs).iter().enumerate() {
+        let mut d = [0.0f32; 8];
+        assert!(n <= d.len());
+        if V == 4 {
+            let [l0, l1, l2, l3] = L::transpose4(std::array::from_fn(|v| acc[v]));
+            // SAFETY: the store writes `L::WIDTH = n <= 8` floats
+            // (asserted) into `d`, and the caller vouches for `L`'s
+            // instructions.
+            unsafe { l0.add(l1).add(l2).add(l3).store(d.as_mut_ptr()) };
+        } else {
+            for (v, &acc) in acc.iter().enumerate() {
+                let mut l = [0.0f32; 8];
+                // SAFETY: as above, `L::WIDTH <= 8` floats into `l`.
+                unsafe { acc.store(l.as_mut_ptr()) };
+                for (g, l) in l[..L::WIDTH].chunks_exact(4).enumerate() {
+                    d[g * V + v] = l[0] + l[1] + l[2] + l[3];
                 }
             }
         }
-        for (out, acc) in out.iter_mut().zip(acc) {
-            for (o, acc) in out.iter_mut().zip(acc) {
-                _mm_storeu_ps(o.as_mut_ptr(), acc);
+        for (r, d) in d[..n].iter_mut().enumerate() {
+            for i in k / 4 * 4..k {
+                *d += rows[r * k + i] * xs[q * k + i];
             }
         }
+        emit(q, &d[..n]);
     }
-    out
 }
 
-/// The lane accumulators of `dot_rows` as a scalar loop, for targets
-/// without the x86-64 SSE2 baseline.
-#[cfg(not(target_arch = "x86_64"))]
+/// The lane accumulators of `dot_rows`: register `[q][v]` holds, in its
+/// group `g`, the four lanes of row `g·V + v` against vector `q`, lane `j`
+/// being `Σ_c row[4c + j]·x[4c + j]` over the full chunks `c`, accumulated
+/// in chunk order from `0.0` — one `mul` and one `add` per chunk, per lane
+/// the same multiply-then-add as the scalar `lane[j] += row[4c + j] *
+/// x[4c + j]`, so the bits match it.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
 #[inline(always)]
-fn lane_sums<const N: usize, const M: usize>(rows: &[f32], xs: &[f32]) -> [[[f32; 4]; N]; M] {
+unsafe fn lane_sums<L: Lanes, const V: usize, const M: usize>(
+    rows: &[f32],
+    xs: &[f32],
+) -> [[L; V]; M] {
     let k = xs.len() / M;
-    assert!(rows.len() == N * k && xs.len() == M * k, "dot_rows: {N} rows, {M} vectors of {k}");
-    let mut acc = [[[0.0f32; 4]; N]; M];
-    for c in 0..k / 4 {
-        for (q, acc) in acc.iter_mut().enumerate() {
-            let xv = &xs[q * k + 4 * c..][..4];
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let rv = &rows[r * k + 4 * c..][..4];
-                for ((lane, &rv), &xv) in acc.iter_mut().zip(rv).zip(xv) {
-                    *lane += rv * xv;
+    let groups = L::WIDTH / 4;
+    assert!(
+        rows.len() == V * groups * k && xs.len() == M * k,
+        "dot_rows: {V}×{groups} rows, {M} vectors of {k}"
+    );
+    // SAFETY: the caller vouches for `L`'s instructions. With `c < k / 4`,
+    // each `dup4` reads the four floats `[q·k + 4c, q·k + 4c + 4)` of `xs`
+    // with `q < M`, and each `load_groups` the four floats
+    // `[r·k + 4c, r·k + 4c + 4)` of `rows` for `r = g·V + v < V·G`; both
+    // end at or before `q·k + k <= M·k = xs.len()` and
+    // `r·k + k <= V·G·k = rows.len()` (asserted above).
+    unsafe {
+        let mut acc = [[L::set1(0.0); V]; M];
+        for c in 0..k / 4 {
+            let xv: [L; M] = std::array::from_fn(|q| L::dup4(xs.as_ptr().add(q * k + 4 * c)));
+            for v in 0..V {
+                let rv = L::load_groups(rows.as_ptr().add(v * k + 4 * c), V * k);
+                for (acc, &xv) in acc.iter_mut().zip(&xv) {
+                    acc[v] = acc[v].add(rv.mul(xv));
                 }
             }
         }
+        acc
     }
-    acc
 }
 
 /// The matvec sweep shared by [`Matrix::matmul`] and
 /// [`Matrix::matvec_acc`]: `emit(&mut out[i], dot(w_row_i, x))` for every
 /// row of the row-major `w` (row length `x.len()`). Full blocks of four
-/// rows go through `dot_rows::<4, 1>`; the `rows % 4` remainder rows call
-/// [`dot`].
+/// rows go through `dot_rows::<Base, 4, 1>`; the `rows % 4` remainder rows
+/// call [`dot`].
 #[inline]
 fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f32)) {
     let k = x.len();
     let full = out.len() / 4 * 4;
     for (i, o) in out[..full].chunks_exact_mut(4).enumerate() {
-        let [d] = dot_rows::<4, 1>(&w[4 * i * k..4 * (i + 1) * k], x);
-        for (o, d) in o.iter_mut().zip(d) {
-            emit(o, d);
-        }
+        // SAFETY: `Base` is the target's baseline register.
+        unsafe {
+            dot_rows::<Base, 4, 1>(&w[4 * i * k..4 * (i + 1) * k], x, |_, d| {
+                for (o, &d) in o.iter_mut().zip(d) {
+                    emit(o, d);
+                }
+            })
+        };
     }
     for (i, o) in out.iter_mut().enumerate().skip(full) {
         emit(o, dot(&w[i * k..(i + 1) * k], x));
@@ -182,142 +534,169 @@ fn matvec_rows(w: &[f32], x: &[f32], out: &mut [f32], emit: impl Fn(&mut f32, f3
 
 /// `out[t·nb + i] = dot(a_t, b_i)` for every row `a_t` of `a`
 /// and every one of the `nb` rows `b_i` of `b`, all of length `k`
-/// (`out.len() / nb` rows in `a`). Blocks of four `b` rows against pairs
-/// of `a` rows go through `dot_rows::<4, 2>`; an odd last `a` row and the
-/// `nb % 4` remainder rows take the narrower tiles.
-fn dots_nt(a: &[f32], b: &[f32], k: usize, nb: usize, out: &mut [f32]) {
+/// (`out.len() / nb` rows in `a`). Tiles of four `L` registers of `b` rows
+/// (`4·G` rows) against pairs of `a` rows go through `dot_rows`; an odd
+/// last `a` row takes a one-vector tile, and the rows past the last whole
+/// tile take `L::Narrow`'s four-row tiles, then single rows.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn dots_nt<L: Lanes>(a: &[f32], b: &[f32], k: usize, nb: usize, out: &mut [f32]) {
     if nb == 0 {
         return;
     }
     let na = out.len() / nb;
     assert!(a.len() == na * k && b.len() == nb * k && out.len() == na * nb, "dots_nt shape");
-    let mut put = |t: usize, i: usize, n: usize, d: &[f32]| {
-        for (q, d) in d.chunks_exact(n).enumerate() {
-            out[(t + q) * nb + i..][..n].copy_from_slice(d);
-        }
-    };
-    let (na2, nb4) = (na / 2 * 2, nb / 4 * 4);
-    let row = |t: usize, rows: usize| &a[t * k..(t + rows) * k];
-    for i in (0..nb4).step_by(4) {
-        let bi = &b[i * k..(i + 4) * k];
+    let i = dots_nt_from::<L, 4>(a, b, k, nb, out, 0);
+    let i = dots_nt_from::<L::Narrow, 4>(a, b, k, nb, out, i);
+    dots_nt_from::<L::Narrow, 1>(a, b, k, nb, out, i);
+}
+
+/// `dots_nt` over the rows of `b` from `i0` in tiles of `V` registers
+/// (`V·G` rows) while a whole tile fits; returns the first row left over.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn dots_nt_from<L: Lanes, const V: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    nb: usize,
+    out: &mut [f32],
+    i0: usize,
+) -> usize {
+    let n = V * L::WIDTH / 4;
+    let na = out.len() / nb;
+    let (na2, end) = (na / 2 * 2, i0 + (nb - i0) / n * n);
+    for i in (i0..end).step_by(n) {
+        let bi = &b[i * k..(i + n) * k];
         for t in (0..na2).step_by(2) {
-            put(t, i, 4, dot_rows::<4, 2>(bi, row(t, 2)).as_flattened());
+            dot_rows::<L, V, 2>(bi, &a[t * k..(t + 2) * k], |q, d| {
+                out[(t + q) * nb + i..][..n].copy_from_slice(d)
+            });
         }
         if na2 < na {
-            put(na2, i, 4, dot_rows::<4, 1>(bi, row(na2, 1)).as_flattened());
+            dot_rows::<L, V, 1>(bi, &a[na2 * k..], |_, d| {
+                out[na2 * nb + i..][..n].copy_from_slice(d)
+            });
         }
     }
-    for i in nb4..nb {
-        let bi = &b[i * k..(i + 1) * k];
-        for t in (0..na2).step_by(2) {
-            put(t, i, 1, dot_rows::<1, 2>(bi, row(t, 2)).as_flattened());
-        }
-        if na2 < na {
-            put(na2, i, 1, dot_rows::<1, 1>(bi, row(na2, 1)).as_flattened());
-        }
-    }
+    end
 }
 
 /// `out[t·k + j] = dot(a_t, b[:, j])` for every row `a_t` of `a` and every
 /// column `j` of the row-major `b` (`m × k`, `out.len() / k` rows in `a`,
 /// each of length `m`): the transposed product, streaming `b` row by row
-/// without transposing it. Four columns of `b` against pairs of `a` rows
-/// go through `col_dots::<2>`; an odd last `a` row takes `col_dots::<1>`,
-/// and the `k % 4` tail columns the scalar `col_dots_tail`.
-fn dots_tn(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
+/// without transposing it. `L::WIDTH` columns of `b` against pairs of `a`
+/// rows go through `col_dots::<L, 2>`, an odd last `a` row through
+/// `col_dots::<L, 1>`; the columns past the last whole register take
+/// `L::Narrow`'s four, and the last `k % 4` the scalar `col_dots_tail`.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn dots_tn<L: Lanes>(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
     if k == 0 {
         return;
     }
     let (na, m) = (out.len() / k, b.len() / k);
     assert!(a.len() == na * m && b.len() == m * k && out.len() == na * k, "dots_tn shape");
-    let mut put = |t: usize, j: usize, w: usize, d: &[[f32; 4]]| {
-        for (q, d) in d.iter().enumerate() {
-            out[(t + q) * k + j..][..w].copy_from_slice(&d[..w]);
+    let j = dots_tn_from::<L>(a, b, k, out, 0);
+    let j = dots_tn_from::<L::Narrow>(a, b, k, out, j);
+    if j < k {
+        for t in 0..na {
+            let d = col_dots_tail(&a[t * m..(t + 1) * m], b, k, j);
+            out[t * k + j..(t + 1) * k].copy_from_slice(&d[..k - j]);
         }
-    };
-    let (na2, k4) = (na / 2 * 2, k / 4 * 4);
-    let row = |t: usize, rows: usize| &a[t * m..(t + rows) * m];
-    for j in (0..k4).step_by(4) {
+    }
+}
+
+/// `dots_tn` over the columns of `b` from `j0`, `L::WIDTH` at a time while
+/// a whole register fits; returns the first column left over.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn dots_tn_from<L: Lanes>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    out: &mut [f32],
+    j0: usize,
+) -> usize {
+    let (na, m) = (out.len() / k, b.len() / k);
+    let (na2, end) = (na / 2 * 2, j0 + (k - j0) / L::WIDTH * L::WIDTH);
+    for j in (j0..end).step_by(L::WIDTH) {
         for t in (0..na2).step_by(2) {
-            put(t, j, 4, &col_dots::<2>(row(t, 2), b, k, j));
+            col_dots::<L, 2>(&a[t * m..(t + 2) * m], b, k, j, &mut out[t * k..(t + 2) * k]);
         }
         if na2 < na {
-            put(na2, j, 4, &col_dots::<1>(row(na2, 1), b, k, j));
+            col_dots::<L, 1>(&a[na2 * m..], b, k, j, &mut out[na2 * k..]);
         }
     }
-    if k4 < k {
-        for t in 0..na {
-            put(t, k4, k - k4, &[col_dots_tail(row(t, 1), b, k, k4)]);
-        }
-    }
+    end
 }
 
-/// `[q][c] = dot(a_q, b[:, j + c])` for the `M` rows `a_q` of `a` (each of
-/// length `m = a.len() / M`) and the four columns from `j` of the
-/// row-major `b` (`m × k`). Lane `l` of an output gathers rows `4c + l` of
-/// the full chunks, as in [`dot`]; each (row of `a`, lane) pair is one
-/// SSE2 vector over the four columns, updated by one `mulps` and one
-/// `addps` per row of `b`, and the lanes are summed `((0+1)+2)+3` before
-/// the `m % 4` tail rows are added in order. Per column that is exactly
-/// `dot`'s sequence of operations, so the bits match it.
-#[cfg(target_arch = "x86_64")]
+/// `out[q·k + j + c] = dot(a_q, b[:, j + c])` for the `M` rows `a_q` of
+/// `a` (each of length `m = a.len() / M`) and the `L::WIDTH` columns from
+/// `j` of the row-major `b` (`m × k`). Lane `l` of an output gathers rows
+/// `4c + l` of the full chunks, as in [`dot`]; each (row of `a`, lane)
+/// pair is one register over the columns, updated by one `mul` and one
+/// `add` per row of `b`, and the lanes are summed `((0+1)+2)+3` before the
+/// `m % 4` tail rows are added in order. Per column that is exactly `dot`'s
+/// sequence of operations, so the bits match it.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
 #[inline(always)]
-fn col_dots<const M: usize>(a: &[f32], b: &[f32], k: usize, j: usize) -> [[f32; 4]; M] {
-    use std::arch::x86_64::{
-        __m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
-    };
+unsafe fn col_dots<L: Lanes, const M: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    j: usize,
+    out: &mut [f32],
+) {
     let m = a.len() / M;
-    assert!(a.len() == M * m && b.len() == m * k && j + 4 <= k, "col_dots shape");
+    assert!(
+        a.len() == M * m && b.len() == m * k && j + L::WIDTH <= k && out.len() >= M * k,
+        "col_dots shape"
+    );
     let full = m / 4 * 4;
-    let mut out = [[0.0f32; 4]; M];
-    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
-    // on every x86-64 CPU. Each load from `b` reads the four floats
-    // `[r·k + j, r·k + j + 4)` with `r < m`; since `j + 4 <= k` it ends at
-    // or before `r·k + k <= m·k = b.len()`. Each load from `a` reads
-    // `[q·m + c, q·m + c + 4)` with `q < M` and `c + 4 <= full <= m`, so it
-    // ends at or before `M·m = a.len()` (both asserted above). `loadu` and
-    // `storeu` need no alignment, and each store writes one whole
-    // `[f32; 4]`.
+    // SAFETY: the caller vouches for `L`'s instructions. Each load from `b`
+    // reads the `W = L::WIDTH` floats `[r·k + j, r·k + j + W)` with `r < m`;
+    // since `j + W <= k` it ends at or before `r·k + k <= m·k = b.len()`.
+    // Each `splat4` reads `[q·m + c, q·m + c + 4)` of `a` with `q < M` and
+    // `c + 4 <= full <= m`, so it ends at or before `M·m = a.len()`. Each
+    // store writes `[q·k + j, q·k + j + W)` with `q < M`, ending at or
+    // before `M·k <= out.len()` (all asserted above).
     unsafe {
-        let col = |r: usize| _mm_loadu_ps(b.as_ptr().add(r * k + j));
-        let mut acc: [[__m128; 4]; M] = [[_mm_setzero_ps(); 4]; M];
+        let col = |r: usize| L::load(b.as_ptr().add(r * k + j));
+        let mut acc = [[L::set1(0.0); 4]; M];
         for c in (0..full).step_by(4) {
-            let av: [__m128; M] = std::array::from_fn(|q| _mm_loadu_ps(a.as_ptr().add(q * m + c)));
             let (b0, b1, b2, b3) = (col(c), col(c + 1), col(c + 2), col(c + 3));
-            for (acc, &av) in acc.iter_mut().zip(&av) {
-                acc[0] = _mm_add_ps(acc[0], _mm_mul_ps(b0, splat::<0x00>(av)));
-                acc[1] = _mm_add_ps(acc[1], _mm_mul_ps(b1, splat::<0x55>(av)));
-                acc[2] = _mm_add_ps(acc[2], _mm_mul_ps(b2, splat::<0xAA>(av)));
-                acc[3] = _mm_add_ps(acc[3], _mm_mul_ps(b3, splat::<0xFF>(av)));
+            for (q, acc) in acc.iter_mut().enumerate() {
+                let [a0, a1, a2, a3] = L::splat4(a.as_ptr().add(q * m + c));
+                acc[0] = acc[0].add(b0.mul(a0));
+                acc[1] = acc[1].add(b1.mul(a1));
+                acc[2] = acc[2].add(b2.mul(a2));
+                acc[3] = acc[3].add(b3.mul(a3));
             }
         }
-        for (q, (o, [l0, l1, l2, l3])) in out.iter_mut().zip(acc).enumerate() {
-            let mut s = _mm_add_ps(_mm_add_ps(_mm_add_ps(l0, l1), l2), l3);
+        for (q, [l0, l1, l2, l3]) in acc.into_iter().enumerate() {
+            let mut s = l0.add(l1).add(l2).add(l3);
             for r in full..m {
-                s = _mm_add_ps(s, _mm_mul_ps(col(r), _mm_set1_ps(a[q * m + r])));
+                s = s.add(col(r).mul(L::set1(a[q * m + r])));
             }
-            _mm_storeu_ps(o.as_mut_ptr(), s);
+            s.store(out.as_mut_ptr().add(q * k + j));
         }
     }
-    out
-}
-
-/// Lane `L / 0x55` of `v` in all four lanes.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn splat<const L: i32>(v: std::arch::x86_64::__m128) -> std::arch::x86_64::__m128 {
-    // SAFETY: SSE is part of the x86-64 baseline, so the intrinsic exists
-    // on every x86-64 CPU; it touches no memory.
-    unsafe { std::arch::x86_64::_mm_shuffle_ps::<L>(v, v) }
-}
-
-/// `col_dots` as a scalar loop, for targets without the x86-64 SSE2
-/// baseline.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn col_dots<const M: usize>(a: &[f32], b: &[f32], k: usize, j: usize) -> [[f32; 4]; M] {
-    let m = a.len() / M;
-    std::array::from_fn(|q| col_dots_tail(&a[q * m..(q + 1) * m], b, k, j))
 }
 
 /// `[c] = dot(a, b[:, j + c])` for the columns from `j` to the end of the
@@ -344,54 +723,76 @@ fn col_dots_tail(a: &[f32], b: &[f32], k: usize, j: usize) -> [f32; 4] {
 /// `out[i][j] += g_t[i]·x_t[j]` over the row-major `out` (`m × k`), for the
 /// rows `g_t` of `g` (`T × m`) and `x_t` of `x` (`T × k`) from the last `t`
 /// to the first: one multiply and one add per term, each added onto the
-/// running value. Tiles of four rows by eight columns (then four, then
-/// single columns; then single rows) hold their part of `out` in
-/// registers for every term.
-fn rank_acc(out: &mut [f32], k: usize, g: &[f32], x: &[f32]) {
+/// running value. Tiles of four rows by two `L` registers of columns (then
+/// one register, then `L::Narrow`'s; then single rows; then single
+/// columns) hold their part of `out` in registers for every term.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn rank_acc<L: Lanes>(out: &mut [f32], k: usize, g: &[f32], x: &[f32]) {
     if k == 0 {
         return;
     }
     let m = out.len() / k;
     let nt = x.len() / k;
     assert!(out.len() == m * k && g.len() == nt * m && x.len() == nt * k, "rank_acc shape");
-    let (m4, k4, k8) = (m / 4 * 4, k / 4 * 4, k / 8 * 8);
-    let mut tile_row = |i: usize, rows: usize| {
-        for j in (0..k8).step_by(8) {
-            match rows {
-                4 => rank_tile::<4, 2>(out, k, i, j, g, x),
-                _ => rank_tile::<1, 2>(out, k, i, j, g, x),
-            }
-        }
-        if k8 < k4 {
-            match rows {
-                4 => rank_tile::<4, 1>(out, k, i, k8, g, x),
-                _ => rank_tile::<1, 1>(out, k, i, k8, g, x),
-            }
-        }
-    };
-    for i in (0..m4).step_by(4) {
-        tile_row(i, 4);
-    }
-    for i in m4..m {
-        tile_row(i, 1);
-    }
+    let j = rank_from::<L>(out, k, g, x, 0);
+    let j = rank_from::<L::Narrow>(out, k, g, x, j);
     for i in 0..m {
-        for j in k4..k {
-            let o = &mut out[i * k + j];
+        for c in j..k {
+            let o = &mut out[i * k + c];
             for t in (0..nt).rev() {
-                *o += g[t * m + i] * x[t * k + j];
+                *o += g[t * m + i] * x[t * k + c];
             }
         }
     }
 }
 
-/// One `R × 4V` tile of `rank_acc` at row `i`, column `j`: the tile is
-/// loaded once into `R·V` SSE2 vectors, each term adds `g_t[i + r]` times
-/// four `x_t` values with one `mulps` and one `addps` (per lane the scalar
-/// `o += g·x`, so the bits match it), and the tile is stored once.
-#[cfg(target_arch = "x86_64")]
+/// `rank_acc` over the columns from `j0`: tiles two registers wide while
+/// they fit, then one register if it fits; returns the first column left
+/// over.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
 #[inline(always)]
-fn rank_tile<const R: usize, const V: usize>(
+unsafe fn rank_from<L: Lanes>(out: &mut [f32], k: usize, g: &[f32], x: &[f32], j0: usize) -> usize {
+    let (m, w) = (out.len() / k, L::WIDTH);
+    let j2 = j0 + (k - j0) / (2 * w) * (2 * w);
+    let end = if j2 + w <= k { j2 + w } else { j2 };
+    let m4 = m / 4 * 4;
+    for i in (0..m4).step_by(4) {
+        for j in (j0..j2).step_by(2 * w) {
+            rank_tile::<L, 4, 2>(out, k, i, j, g, x);
+        }
+        if j2 < end {
+            rank_tile::<L, 4, 1>(out, k, i, j2, g, x);
+        }
+    }
+    for i in m4..m {
+        for j in (j0..j2).step_by(2 * w) {
+            rank_tile::<L, 1, 2>(out, k, i, j, g, x);
+        }
+        if j2 < end {
+            rank_tile::<L, 1, 1>(out, k, i, j2, g, x);
+        }
+    }
+    end
+}
+
+/// One `R × V·L::WIDTH` tile of `rank_acc` at row `i`, column `j`: the
+/// tile is loaded once into `R·V` registers, each term adds `g_t[i + r]`
+/// times `L::WIDTH` `x_t` values with one `mul` and one `add` (per lane
+/// the scalar `o += g·x`, so the bits match it), and the tile is stored
+/// once.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instructions.
+#[inline(always)]
+unsafe fn rank_tile<L: Lanes, const R: usize, const V: usize>(
     out: &mut [f32],
     k: usize,
     i: usize,
@@ -399,66 +800,38 @@ fn rank_tile<const R: usize, const V: usize>(
     g: &[f32],
     x: &[f32],
 ) {
-    use std::arch::x86_64::{
-        __m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps,
-    };
-    let (m, nt) = (out.len() / k, x.len() / k);
-    assert!(i + R <= m && j + 4 * V <= k && g.len() == nt * m && x.len() == nt * k, "rank_tile");
-    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics exist
-    // on every x86-64 CPU. Every access to `out` covers the four floats
-    // `[(i + r)·k + j + 4v, … + 4)` with `r < R`, `v < V`; since
-    // `i + R <= m` and `j + 4V <= k` it ends at or before `m·k = out.len()`.
-    // Every load from `x` covers `[t·k + j + 4v, … + 4)` with `t < nt`,
-    // ending at or before `nt·k = x.len()`, and the four-float load from
-    // `g` (when `R == 4`) covers `[t·m + i, t·m + i + 4)`, ending at or
-    // before `nt·m = g.len()` since `i + 4 <= m` (all asserted above).
-    // `loadu` and `storeu` need no alignment.
+    let (m, nt, w) = (out.len() / k, x.len() / k, L::WIDTH);
+    assert!(i + R <= m && j + V * w <= k && g.len() == nt * m && x.len() == nt * k, "rank_tile");
+    // SAFETY: the caller vouches for `L`'s instructions. Every access to
+    // `out` covers the `w` floats `[(i + r)·k + j + v·w, … + w)` with
+    // `r < R`, `v < V`; since `i + R <= m` and `j + V·w <= k` it ends at or
+    // before `m·k = out.len()`. Every load from `x` covers
+    // `[t·k + j + v·w, … + w)` with `t < nt`, ending at or before
+    // `nt·k = x.len()`, and the four-float `splat4` from `g` (when
+    // `R == 4`) covers `[t·m + i, t·m + i + 4)`, ending at or before
+    // `nt·m = g.len()` since `i + 4 <= m` (all asserted above).
     unsafe {
-        let at = |r: usize, v: usize| (i + r) * k + j + 4 * v;
-        let mut acc: [[__m128; V]; R] =
-            std::array::from_fn(|r| std::array::from_fn(|v| _mm_loadu_ps(out.as_ptr().add(at(r, v)))));
+        let at = |r: usize, v: usize| (i + r) * k + j + v * w;
+        let mut acc: [[L; V]; R] =
+            std::array::from_fn(|r| std::array::from_fn(|v| L::load(out.as_ptr().add(at(r, v)))));
         for t in (0..nt).rev() {
-            let xv: [__m128; V] = std::array::from_fn(|v| _mm_loadu_ps(x.as_ptr().add(t * k + j + 4 * v)));
-            let gv: [__m128; R] = match R {
+            let xv: [L; V] = std::array::from_fn(|v| L::load(x.as_ptr().add(t * k + j + v * w)));
+            let gv: [L; R] = match R {
                 4 => {
-                    let g4 = _mm_loadu_ps(g.as_ptr().add(t * m + i));
-                    let s = [splat::<0x00>(g4), splat::<0x55>(g4), splat::<0xAA>(g4), splat::<0xFF>(g4)];
+                    let s = L::splat4(g.as_ptr().add(t * m + i));
                     std::array::from_fn(|r| s[r])
                 }
-                _ => std::array::from_fn(|r| _mm_set1_ps(g[t * m + i + r])),
+                _ => std::array::from_fn(|r| L::set1(g[t * m + i + r])),
             };
             for (acc, &gv) in acc.iter_mut().zip(&gv) {
                 for (acc, &xv) in acc.iter_mut().zip(&xv) {
-                    *acc = _mm_add_ps(*acc, _mm_mul_ps(gv, xv));
+                    *acc = acc.add(gv.mul(xv));
                 }
             }
         }
         for (r, acc) in acc.iter().enumerate() {
             for (v, &acc) in acc.iter().enumerate() {
-                _mm_storeu_ps(out.as_mut_ptr().add(at(r, v)), acc);
-            }
-        }
-    }
-}
-
-/// `rank_tile` as a scalar loop, for targets without the x86-64 SSE2
-/// baseline.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn rank_tile<const R: usize, const V: usize>(
-    out: &mut [f32],
-    k: usize,
-    i: usize,
-    j: usize,
-    g: &[f32],
-    x: &[f32],
-) {
-    let (m, nt) = (out.len() / k, x.len() / k);
-    for r in i..i + R {
-        for c in j..j + 4 * V {
-            let o = &mut out[r * k + c];
-            for t in (0..nt).rev() {
-                *o += g[t * m + r] * x[t * k + c];
+                acc.store(out.as_mut_ptr().add(at(r, v)));
             }
         }
     }
@@ -472,8 +845,9 @@ fn rank_tile<const R: usize, const V: usize>(
 /// `lanes` holds lanes 1–3), the lanes are summed `((0+1)+2)+3`, and the
 /// tail rows are added in order. So the result is bit-identical to
 /// gathering each column and calling `dot`, but every load of `w` is
-/// contiguous and the inner loops run along a row, where they vectorize.
-#[inline]
+/// contiguous and the inner loops run along a row, where they vectorize
+/// to the width of the function it is inlined into.
+#[inline(always)]
 fn matvec_tn_rows(w: &[f32], g: &[f32], out: &mut [f32], lanes: &mut Vec<f32>) {
     let m = out.len();
     let full = g.len() / 4 * 4;
@@ -507,8 +881,9 @@ fn matvec_tn_rows(w: &[f32], g: &[f32], out: &mut [f32], lanes: &mut Vec<f32>) {
 
 /// The outer product `out[i][j] += g[i]·x[j]` over the row-major `out`
 /// (row length `x.len()`) — the one loop behind [`Matrix::rank1_acc`] and
-/// `matmul_nt`'s shared-dimension-1 case.
-#[inline]
+/// `matmul_nt`'s shared-dimension-1 case. It vectorizes to the width of
+/// the function it is inlined into.
+#[inline(always)]
 fn outer_acc(out: &mut [f32], g: &[f32], x: &[f32]) {
     for (row, &gi) in out.chunks_exact_mut(x.len()).zip(g) {
         for (o, &xv) in row.iter_mut().zip(x) {
@@ -579,6 +954,11 @@ impl Matrix {
     /// four-row `matvec_rows` path; more (`Gᵀ·W`, stacked input gradients)
     /// take `dots_tn` over the rows of `self`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_at(Simd::detect(), other)
+    }
+
+    /// [`Matrix::matmul`] with its stacked case at width `simd`.
+    fn matmul_at(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} × {}x{}",
@@ -589,22 +969,31 @@ impl Matrix {
         if other.cols == 1 {
             matvec_rows(&self.data, &other.data, &mut out.data, |o, d| *o = d);
         } else {
-            dots_tn(&self.data, &other.data, other.cols, &mut out.data);
+            let (a, b, k) = (&self.data, &other.data, other.cols);
+            simd.run(Product::Tn { a, b, k, out: &mut out.data });
         }
         out
     }
 
     /// `selfᵀ × other` — the `Wᵀ g` backprop kernel. The matvec case
-    /// streams `self` row by row through `dots_tn` (no transpose); any
-    /// other shape returns [`reference::matmul_tn`]'s result.
+    /// streams `self` row by row through `matvec_tn_rows` (no transpose);
+    /// any other shape returns [`reference::matmul_tn`]'s result.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        self.matmul_tn_at(Simd::detect(), other)
+    }
+
+    /// [`Matrix::matmul_tn`] at width `simd`.
+    fn matmul_tn_at(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape");
         trace_flops(self.cols, self.rows, other.cols);
         if other.cols != 1 {
             return reference::matmul_tn(self, other);
         }
         let mut out = Matrix::zeros(self.cols, 1);
-        LANES.with(|l| matvec_tn_rows(&self.data, &other.data, &mut out.data, &mut l.borrow_mut()));
+        LANES.with(|l| {
+            let (w, g, lanes) = (&self.data, &other.data, &mut *l.borrow_mut());
+            simd.run(Product::MatvecTn { w, g, out: &mut out.data, lanes });
+        });
         out
     }
 
@@ -614,13 +1003,19 @@ impl Matrix {
     /// `0.0 + g_i·x_j` exactly as [`dot`] does for one element (so a `-0.0`
     /// product comes out `+0.0`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        self.matmul_nt_at(Simd::detect(), other)
+    }
+
+    /// [`Matrix::matmul_nt`] at width `simd`.
+    fn matmul_nt_at(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape");
         trace_flops(self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(self.rows, other.rows);
+        let (a, b, out_data) = (&self.data, &other.data, &mut out.data);
         if self.cols == 1 {
-            outer_acc(&mut out.data, &self.data, &other.data);
+            simd.run(Product::Outer { out: out_data, g: a, x: b });
         } else {
-            dots_nt(&self.data, &other.data, self.cols, other.rows, &mut out.data);
+            simd.run(Product::Nt { a, b, k: self.cols, nb: other.rows, out: out_data });
         }
         out
     }
@@ -629,9 +1024,14 @@ impl Matrix {
     /// weight-gradient outer product accumulated in place: the one-term
     /// case of [`Matrix::rank_acc`].
     pub fn rank1_acc(&mut self, g: &Matrix, x: &Matrix) {
+        self.rank1_acc_at(Simd::detect(), g, x)
+    }
+
+    /// [`Matrix::rank1_acc`] at width `simd`.
+    fn rank1_acc_at(&mut self, simd: Simd, g: &Matrix, x: &Matrix) {
         debug_assert!(g.data.len() == self.rows && x.data.len() == self.cols);
         nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols) as u64);
-        outer_acc(&mut self.data, &g.data, &x.data);
+        simd.run(Product::Outer { out: &mut self.data, g: &g.data, x: &x.data });
     }
 
     /// `self += Σ_t g_t · x_tᵀ` over the rows `g_t` of `g` (`T × rows`) and
@@ -641,12 +1041,17 @@ impl Matrix {
     /// additions, in the same order, as `T` calls to
     /// [`Matrix::rank1_acc`], so the bits match.
     pub fn rank_acc(&mut self, g: &Matrix, x: &Matrix) {
+        self.rank_acc_at(Simd::detect(), g, x)
+    }
+
+    /// [`Matrix::rank_acc`] at width `simd`.
+    fn rank_acc_at(&mut self, simd: Simd, g: &Matrix, x: &Matrix) {
         assert!(
             g.cols == self.rows && x.cols == self.cols && g.rows == x.rows,
             "rank_acc shape"
         );
         nv_trace::count("nn.rank1.flops", 2 * (self.rows * self.cols * g.rows) as u64);
-        rank_acc(&mut self.data, self.cols, &g.data, &x.data);
+        simd.run(Product::Rank { out: &mut self.data, k: self.cols, g: &g.data, x: &x.data });
     }
 
     /// `out[i] += Σ_k self[i][k] · x[k]` — accumulating matvec for the
@@ -822,13 +1227,36 @@ mod tests {
         assert_eq!(c.data, vec![58., 64., 139., 154.]);
     }
 
-    /// The fast kernels must be bit-identical to the reference kernels on
-    /// every shape class (vector, outer product, general, ragged-edge) and
-    /// for operands holding either sign of zero — this is the invariant
-    /// that makes the NaiveOracle training path exact.
+    /// Every width this CPU runs: the scalar lanes everywhere, SSE2 and AVX
+    /// on x86-64. A width the CPU lacks is skipped, and says so.
+    fn widths() -> Vec<Simd> {
+        let all = [Simd::Scalar, Simd::Sse, Simd::Avx];
+        all.into_iter()
+            .filter(|simd| {
+                let ok = simd.available();
+                if !ok {
+                    eprintln!("skipped the {simd:?} kernels: this CPU lacks their instructions");
+                }
+                ok
+            })
+            .collect()
+    }
+
+    #[test]
+    fn detect_picks_the_widest_available_width() {
+        let simd = Simd::detect();
+        assert!(simd.available());
+        assert_eq!(simd == Simd::Avx, Simd::Avx.available());
+        assert_eq!(simd.lanes(), if Simd::Avx.available() { 8 } else { 4 });
+    }
+
+    /// The fast kernels at every width must be bit-identical to the
+    /// reference kernels on every shape class (vector, outer product,
+    /// general, ragged-edge) and for operands holding either sign of zero —
+    /// this is the invariant that makes the NaiveOracle training path exact
+    /// and a run's bits independent of the CPU's width.
     #[test]
     fn blocked_kernels_match_reference_bitwise() {
-        let mut rng = StdRng::seed_from_u64(11);
         let shapes = [
             (1, 1, 1),
             (3, 5, 1),
@@ -840,54 +1268,79 @@ mod tests {
             (5, 1, 9),
             (3, 1, 4),
             (5, 1, 1),
+            (12, 20, 12),
+            (23, 44, 29),
         ];
         let matvecs = matvec_shapes().into_iter().map(|(m, k)| (m, k, 1));
         let draws: [fn(usize, usize, &mut StdRng) -> Matrix; 2] = [rand_mat, signed_zero_mat];
-        for draw in draws {
-            for (m, k, n) in shapes.into_iter().chain(matvecs.clone()) {
-                let a = draw(m, k, &mut rng);
-                let b = draw(k, n, &mut rng);
-                let fast = a.matmul(&b);
-                let slow = reference::matmul(&a, &b);
-                assert_eq!(bits(&fast), bits(&slow), "matmul {m}x{k}x{n}");
+        for simd in widths() {
+            let mut rng = StdRng::seed_from_u64(11);
+            for draw in draws {
+                for (m, k, n) in shapes.into_iter().chain(matvecs.clone()) {
+                    let a = draw(m, k, &mut rng);
+                    let b = draw(k, n, &mut rng);
+                    let fast = a.matmul_at(simd, &b);
+                    let slow = reference::matmul(&a, &b);
+                    assert_eq!(bits(&fast), bits(&slow), "{simd:?} matmul {m}x{k}x{n}");
 
-                let at = draw(k, m, &mut rng);
-                let fast = at.matmul_tn(&b);
-                let slow = reference::matmul_tn(&at, &b);
-                assert_eq!(bits(&fast), bits(&slow), "matmul_tn {m}x{k}x{n}");
+                    let at = draw(k, m, &mut rng);
+                    let fast = at.matmul_tn_at(simd, &b);
+                    let slow = reference::matmul_tn(&at, &b);
+                    assert_eq!(bits(&fast), bits(&slow), "{simd:?} matmul_tn {m}x{k}x{n}");
 
-                let bt = draw(n, k, &mut rng);
-                let fast = a.matmul_nt(&bt);
-                let slow = reference::matmul_nt(&a, &bt);
-                assert_eq!(bits(&fast), bits(&slow), "matmul_nt {m}x{k}x{n}");
+                    let bt = draw(n, k, &mut rng);
+                    let fast = a.matmul_nt_at(simd, &bt);
+                    let slow = reference::matmul_nt(&a, &bt);
+                    assert_eq!(bits(&fast), bits(&slow), "{simd:?} matmul_nt {m}x{k}x{n}");
+                }
             }
         }
         // The time-batched model products at odd vocabularies: the
         // forward `Xᵀ·Wᵀ`, the input gradients `Gᵀ·W` and the weight
-        // gradient over `T` stacked steps, at the feature widths of basic
-        // (h = 32), +attention (3h = 96) and the full-scale output
-        // projection (216), and at a width that is no multiple of the tile
-        // width (37, with every `T` from 1 to 33). Each shape draws plain
-        // values, either sign of zero or hostile values in turn.
+        // gradient over `T` stacked steps (and its one-step
+        // `rank1_acc`), at the feature widths of basic (h = 32),
+        // +attention (3h = 96) and the full-scale output projection (216),
+        // and at widths that leave every remainder of the eight- and
+        // sixteen-column tiles (12, 20, 37 and 44: `k % 8` of 4 and 5,
+        // `k % 16` of 4, 5, 12; 216 has `k % 16 = 8`). The vocabularies
+        // leave 1, 4, 6 and 7 rows past the last eight-row tile, and `T`
+        // runs over every count from 1 to 33 on the first shape, then over
+        // 1, 2, 7 and 33. Each shape draws plain values, either sign of
+        // zero or hostile values in turn.
         let draws: [fn(usize, usize, &mut StdRng) -> Matrix; 3] =
             [rand_mat, signed_zero_mat, hostile_mat];
-        let widths = [37, 32, 96, 216];
-        let stacked = [793, 1023, 1031].into_iter().flat_map(|v| widths.map(|k| (v, k)));
-        for (n, (v, k)) in stacked.enumerate() {
-            let draw = draws[n % 3];
-            let steps: Vec<usize> = if n == 0 { (1..=33).collect() } else { vec![1, 2, 7, 33] };
-            for t in steps {
-                let (w, x, g) = (draw(v, k, &mut rng), draw(t, k, &mut rng), draw(t, v, &mut rng));
-                let shape = format!("{v}x{k}, T = {t}");
-                let fast = x.matmul_nt(&w);
-                assert_eq!(bits(&fast), bits(&reference::matmul_nt(&x, &w)), "Xᵀ·Wᵀ {shape}");
-                let fast = g.matmul(&w);
-                assert_eq!(bits(&fast), bits(&reference::matmul(&g, &w)), "Gᵀ·W {shape}");
-                let mut fast = draw(v, k, &mut rng);
-                let mut slow = fast.clone();
-                fast.rank_acc(&g, &x);
-                reference::rank_acc(&mut slow, &g, &x);
-                assert_eq!(bits(&fast), bits(&slow), "rank_acc {shape}");
+        let widths_k = [37, 32, 96, 216, 12, 20, 44];
+        let vocabs = [793, 1023, 1031, 804, 806];
+        let stacked: Vec<(usize, usize)> =
+            vocabs.into_iter().flat_map(|v| widths_k.map(|k| (v, k))).collect();
+        for simd in widths() {
+            let mut rng = StdRng::seed_from_u64(13);
+            for (n, &(v, k)) in stacked.iter().enumerate() {
+                let draw = draws[n % 3];
+                let steps: Vec<usize> = if n == 0 { (1..=33).collect() } else { vec![1, 2, 7, 33] };
+                for t in steps {
+                    let w = draw(v, k, &mut rng);
+                    let (x, g) = (draw(t, k, &mut rng), draw(t, v, &mut rng));
+                    let shape = format!("{simd:?} {v}x{k}, T = {t}");
+                    let fast = x.matmul_nt_at(simd, &w);
+                    let slow = reference::matmul_nt(&x, &w);
+                    assert_eq!(bits(&fast), bits(&slow), "Xᵀ·Wᵀ {shape}");
+                    let fast = g.matmul_at(simd, &w);
+                    assert_eq!(bits(&fast), bits(&reference::matmul(&g, &w)), "Gᵀ·W {shape}");
+                    let mut fast = draw(v, k, &mut rng);
+                    let mut slow = fast.clone();
+                    fast.rank_acc_at(simd, &g, &x);
+                    reference::rank_acc(&mut slow, &g, &x);
+                    assert_eq!(bits(&fast), bits(&slow), "rank_acc {shape}");
+                    if t == 1 {
+                        let mut one = draw(v, k, &mut rng);
+                        let mut slow = one.clone();
+                        let (g1, x1) = (Matrix::col(g.data.clone()), Matrix::col(x.data.clone()));
+                        one.rank1_acc_at(simd, &g1, &x1);
+                        reference::rank_acc(&mut slow, &g, &x);
+                        assert_eq!(bits(&one), bits(&slow), "rank1_acc {shape}");
+                    }
+                }
             }
         }
     }
@@ -1032,24 +1485,28 @@ mod tests {
 
     /// Outputs narrower than a vector and shared dimensions below, at and
     /// just past one four-row block (so a lone tail row, no full block, and
-    /// a full block plus a tail all occur).
+    /// a full block plus a tail all occur), at every width.
     #[test]
     fn transposed_matvec_small_shapes_match_reference() {
-        let mut rng = StdRng::seed_from_u64(15);
-        for m in [1, 2, 3] {
-            for k in [1, 2, 3, 5] {
-                let w = rand_mat(k, m, &mut rng);
-                let g = rand_mat(k, 1, &mut rng);
-                let fast = w.matmul_tn(&g);
-                assert_eq!((fast.rows, fast.cols), (m, 1));
-                assert_eq!(bits(&fast), bits(&reference::matmul_tn(&w, &g)), "{k}x{m}");
+        for simd in widths() {
+            let mut rng = StdRng::seed_from_u64(15);
+            for m in [1, 2, 3, 7, 9, 17] {
+                for k in [1, 2, 3, 5] {
+                    let w = rand_mat(k, m, &mut rng);
+                    let g = rand_mat(k, 1, &mut rng);
+                    let fast = w.matmul_tn_at(simd, &g);
+                    assert_eq!((fast.rows, fast.cols), (m, 1));
+                    let slow = reference::matmul_tn(&w, &g);
+                    assert_eq!(bits(&fast), bits(&slow), "{simd:?} {k}x{m}");
+                }
             }
         }
     }
 
     /// The transposed matvec keeps its lanes in a thread-local scratch:
     /// lanes of a different size, or anything an `n > 1` call between two
-    /// matvecs leaves behind, must never leak into a later one.
+    /// matvecs leaves behind, must never leak into a later one, at any
+    /// width or when the width changes between calls.
     #[test]
     fn transposed_matvec_reuses_pack_scratch_exactly() {
         let mut rng = StdRng::seed_from_u64(16);
@@ -1057,15 +1514,18 @@ mod tests {
         let small = (rand_mat(7, 3, &mut rng), rand_mat(7, 1, &mut rng));
         let (a, b) = (rand_mat(12, 10, &mut rng), rand_mat(10, 9, &mut rng));
         let c = rand_mat(12, 9, &mut rng);
-        let matvec = |(w, g): &(Matrix, Matrix)| {
-            assert_eq!(bits(&w.matmul_tn(g)), bits(&reference::matmul_tn(w, g)));
-        };
-        matvec(&big);
-        assert_eq!(bits(&a.matmul(&b)), bits(&reference::matmul(&a, &b)));
-        assert_eq!(bits(&a.matmul_tn(&c)), bits(&reference::matmul_tn(&a, &c)));
-        matvec(&small);
-        assert_eq!(bits(&a.matmul_tn(&c)), bits(&reference::matmul_tn(&a, &c)));
-        matvec(&big);
+        for simd in widths() {
+            let matvec = |(w, g): &(Matrix, Matrix)| {
+                let slow = reference::matmul_tn(w, g);
+                assert_eq!(bits(&w.matmul_tn_at(simd, g)), bits(&slow), "{simd:?}");
+            };
+            matvec(&big);
+            assert_eq!(bits(&a.matmul_at(simd, &b)), bits(&reference::matmul(&a, &b)));
+            assert_eq!(bits(&a.matmul_tn_at(simd, &c)), bits(&reference::matmul_tn(&a, &c)));
+            matvec(&small);
+            assert_eq!(bits(&a.matmul_tn_at(simd, &c)), bits(&reference::matmul_tn(&a, &c)));
+            matvec(&big);
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 #   scripts/ci.sh                  # everything (build, tests, deps,
 #                                  # vendor, faults, warnings, clippy, doc,
 #                                  # differential,
-#                                  # golden, trace, gradcheck, nvperf,
-#                                  # quick, examples)
+#                                  # golden, trace, gradcheck, nofma,
+#                                  # nvperf, quick, examples)
 #   scripts/ci.sh deps             # the facade's normal dependency graph
 #                                  # names neither nv-oracle nor proptest
 #   scripts/ci.sh vendor           # the vendored crates' own unit tests
@@ -21,6 +21,8 @@
 #   scripts/ci.sh gradcheck        # nv-nn gradient checks, cross-thread
 #                                  # training determinism, and nv-nn's own
 #                                  # tests under the release codegen
+#   scripts/ci.sh nofma            # the release `reproduce` binary holds no
+#                                  # fused multiply-add instruction
 #   scripts/ci.sh nvperf           # benchmark-harness tests, including a
 #                                  # tiny checked smoke run of every workload
 #   scripts/ci.sh quick            # `reproduce quick`, at the default and
@@ -105,6 +107,26 @@ run_gradcheck() {
   cargo test --release -q --test train_determinism
   echo "=== nv-nn: kernel bit-identity and unit tests under the release codegen ==="
   cargo test --release -q -p nv-nn
+}
+
+# nv-nn's kernels return the same bits at every register width only
+# because each product is rounded before it is added; a fused multiply-add
+# (`vfmadd…`, `vfmsub…`, `vfnmadd…`, `vfnmsub…`) rounds once and would
+# break that, and with it the pinned numerics on some CPUs.
+run_nofma() {
+  echo "=== no FMA: the release reproduce binary holds no fused multiply-add ==="
+  cargo build --release -q -p nv-bench --bin reproduce
+  local asm fused
+  asm="$(mktemp)"
+  # A missing or failing objdump fails the stage rather than passing it.
+  objdump -d --no-show-raw-insn target/release/reproduce > "$asm"
+  fused="$(grep -E '\svf(n)?m(add|sub)' "$asm" || true)"
+  rm -f "$asm"
+  if [[ -n "$fused" ]]; then
+    echo "$(wc -l <<< "$fused") fused multiply-add instructions in target/release/reproduce:" >&2
+    head -5 <<< "$fused" >&2
+    return 1
+  fi
 }
 
 # `reproduce quick` (extra arguments pass through) minus the lines that
@@ -214,6 +236,10 @@ case "$stage" in
     run_gradcheck
     exit 0
     ;;
+  nofma)
+    run_nofma
+    exit 0
+    ;;
   nvperf)
     run_nvperf
     exit 0
@@ -228,54 +254,57 @@ case "$stage" in
     ;;
   all) ;;
   *)
-    echo "usage: scripts/ci.sh [all|deps|vendor|clippy|doc|differential|golden [--bless]|trace|gradcheck|nvperf|quick [--bless]|examples]" >&2
+    echo "usage: scripts/ci.sh [all|deps|vendor|clippy|doc|differential|golden [--bless]|trace|gradcheck|nofma|nvperf|quick [--bless]|examples]" >&2
     exit 2
     ;;
 esac
 
-echo "=== [1/15] cargo build --release ==="
+echo "=== [1/16] cargo build --release ==="
 cargo build --release
 
-echo "=== [2/15] cargo test -q (every workspace crate) ==="
+echo "=== [2/16] cargo test -q (every workspace crate) ==="
 cargo test -q
 
-echo "=== [3/15] normal dependency graph ==="
+echo "=== [3/16] normal dependency graph ==="
 run_deps
 
-echo "=== [4/15] vendored crates' unit tests ==="
+echo "=== [4/16] vendored crates' unit tests ==="
 run_vendor
 
-echo "=== [5/15] fault-injection harness ==="
+echo "=== [5/16] fault-injection harness ==="
 cargo test -q --test fault_injection
 
-echo "=== [6/15] warnings-clean (whole workspace, all targets) ==="
+echo "=== [6/16] warnings-clean (whole workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
-echo "=== [7/15] clippy-clean (whole workspace, all targets) ==="
+echo "=== [7/16] clippy-clean (whole workspace, all targets) ==="
 run_clippy
 
-echo "=== [8/15] warnings-clean rustdoc ==="
+echo "=== [8/16] warnings-clean rustdoc ==="
 run_doc
 
-echo "=== [9/15] differential oracle ==="
+echo "=== [9/16] differential oracle ==="
 run_differential
 
-echo "=== [10/15] golden snapshots ==="
+echo "=== [10/16] golden snapshots ==="
 run_golden
 
-echo "=== [11/15] trace observability gate ==="
+echo "=== [11/16] trace observability gate ==="
 run_trace
 
-echo "=== [12/15] training-kernel gradcheck + determinism gate ==="
+echo "=== [12/16] training-kernel gradcheck + determinism gate ==="
 run_gradcheck
 
-echo "=== [13/15] benchmark harness (nvperf) ==="
+echo "=== [13/16] no fused multiply-add in the release binary ==="
+run_nofma
+
+echo "=== [14/16] benchmark harness (nvperf) ==="
 run_nvperf
 
-echo "=== [14/15] reproduce quick golden ==="
+echo "=== [15/16] reproduce quick golden ==="
 run_quick
 
-echo "=== [15/15] examples ==="
+echo "=== [16/16] examples ==="
 run_examples
 
 echo "=== CI green ==="
